@@ -320,10 +320,11 @@ let run_cmd =
     in
     let render_out ?source out =
       let b = Buffer.create 1024 in
-      if tree then (
-        Buffer.add_string b (Clip_xml.Printer.to_tree_string out);
-        Buffer.add_char b '\n')
-      else Buffer.add_string b (Clip_xml.Printer.to_pretty_string out);
+      Clip_obs.Trace.span tracer "print" (fun () ->
+          if tree then (
+            Buffer.add_string b (Clip_xml.Printer.to_tree_string out);
+            Buffer.add_char b '\n')
+          else Buffer.add_string b (Clip_xml.Printer.to_pretty_string out));
       (match source with
        | Some source when trace ->
          (* The lineage re-run gets a throwaway context: it is
@@ -424,8 +425,13 @@ let run_cmd =
         let sources =
           List.filter_map
             (fun path ->
-              let xml_src = read_file path in
-              match Clip_xml.Parser.parse_string_result xml_src with
+              let xml_src =
+                Clip_obs.Trace.span tracer "read" (fun () -> read_file path)
+              in
+              match
+                Clip_obs.Trace.span tracer "parse" (fun () ->
+                    Clip_xml.Parser.parse_string_result xml_src)
+              with
               | Error ds ->
                 if not keep_going then begin
                   report ~src:xml_src ds;

@@ -19,16 +19,47 @@ let to_string = function
     else Printf.sprintf "%g" f
   | Bool b -> string_of_bool b
 
+(* No int, float ([inf], [nan], hex and decimal forms) or bool lexeme
+   starts with an ASCII letter other than these, so a name-like value
+   skips the three conversions. *)
+let may_be_literal s =
+  match s with
+  | "" -> true
+  | _ ->
+    (match String.unsafe_get s 0 with
+     | 'i' | 'I' | 'n' | 'N' | 't' | 'f' -> true
+     | 'a' .. 'z' | 'A' .. 'Z' -> false
+     | _ -> true)
+
+(* The value of the decimal digits [s.[i, n)], or -1 if one is not a
+   digit. *)
+let rec digits_value s i n acc =
+  if i = n then acc
+  else
+    match String.unsafe_get s i with
+    | '0' .. '9' as c -> digits_value s (i + 1) n ((acc * 10) + Char.code c - 48)
+    | _ -> -1
+
 let of_string s =
-  match int_of_string_opt s with
-  | Some i -> Int i
-  | None ->
-    (match float_of_string_opt s with
-     | Some f -> Float f
-     | None ->
-       (match bool_of_string_opt s with
-        | Some b -> Bool b
-        | None -> String s))
+  if not (may_be_literal s) then String s
+  else
+    (* A plain decimal, an optional '-' and up to 18 digits, is read
+       here; it cannot overflow, and [int_of_string] agrees. *)
+    let n = String.length s in
+    let neg = n > 1 && String.unsafe_get s 0 = '-' in
+    let first = if neg then 1 else 0 in
+    let v = if n > first && n - first <= 18 then digits_value s first n 0 else -1 in
+    if v >= 0 then Int (if neg then -v else v)
+    else
+      match int_of_string_opt s with
+      | Some i -> Int i
+      | None ->
+        (match float_of_string_opt s with
+         | Some f -> Float f
+         | None ->
+           (match bool_of_string_opt s with
+            | Some b -> Bool b
+            | None -> String s))
 
 let to_float = function
   | Int i -> Some (float_of_int i)

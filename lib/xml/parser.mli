@@ -1,14 +1,17 @@
-(** A parser for the XML subset Clip needs: elements, attributes, text,
-    comments, CDATA sections, and prolog misc (XML declaration,
-    processing instructions and DOCTYPE are skipped). No namespaces,
-    DTD validation, or entities beyond the five predefined ones and
-    character references — the paper's schemas never use them.
+(** Whole-string entry points to the XML reader: [Stream.of_string]
+    plus the event tree builder of {!Stream.parse_result}. The grammar,
+    its well-formedness checks and its diagnostics are {!Stream}'s:
+    elements, attributes, text, comments, CDATA sections, and prolog
+    misc (XML declaration, processing instructions and DOCTYPE are
+    skipped). No namespaces, DTD validation, or entities beyond the
+    five predefined ones and ASCII character references — the paper's
+    schemas never use them.
 
-    The parser is total under {!parse_string_result}: every input
-    either parses or yields spanned diagnostics ([CLIP-XML-001] for
-    syntax errors, [CLIP-LIM-001]/[CLIP-LIM-002] when a resource guard
-    trips). Element nesting is depth-guarded, so a pathologically deep
-    document degrades to a diagnostic instead of a stack overflow. *)
+    {!parse_string_result} is total: every input either parses or
+    yields spanned diagnostics ([CLIP-XML-001] for syntax errors,
+    [CLIP-LIM-001]/[CLIP-LIM-002] when a resource guard trips). Element
+    nesting is depth-guarded, so a pathologically deep document
+    degrades to a diagnostic instead of a stack overflow. *)
 
 exception Parse_error of { line : int; column : int; message : string }
 

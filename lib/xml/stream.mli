@@ -1,33 +1,43 @@
-(** A streaming (SAX-style, pull-based) XML event lexer over an
-    incremental byte feed.
+(** The XML lexer: a pull-based (SAX-style) event reader over an
+    incremental byte feed, and the library's only implementation of
+    the XML subset Clip reads (names, attributes, quoted values,
+    entities and character references, comments, CDATA, prolog misc,
+    text trimming). {!Parser} is {!of_string} plus {!parse_result}.
 
-    Where {!Parser} materialises a whole {!Node.t} from one resident
-    string, this module recognises the same grammar over chunks pulled
-    on demand from a producer ({!of_channel}, {!of_chunks}) through a
-    sliding window whose residency is one chunk plus the longest
-    pending lookahead — the substrate of bounded-memory ingestion and
-    the shard cutter ({!Clip_shard}).
+    Bytes are pulled on demand from a producer ({!of_channel},
+    {!of_chunks}, {!of_string}) into a sliding window whose residency
+    is one chunk plus the longest pending token, and scanned in place:
+    a token is copied out once, and only a token that spans a refill
+    is collected in a buffer. Line and column are computed when a
+    diagnostic needs them, not per byte. This is also the substrate of
+    bounded-memory ingestion and the shard cutter ({!Clip_shard}).
 
-    Two contracts tie it to {!Parser} (pinned by test/test_stream.ml):
+    Well-formedness beyond the basic grammar: a repeated attribute
+    name, and a character reference outside [&#[0-9]+;] /
+    [&#x[0-9a-fA-F]+;] or naming a character outside 1-127, are
+    rejected with [CLIP-XML-001].
 
-    - {b chunk-boundary independence} — the event sequence (and the
-      document {!parse_result} builds from it) is the same whether the
+    Two contracts are pinned by test/test_stream.ml and the [--xml]
+    fuzz sweep against a test-only reference parser
+    (test/oracle/xml_oracle.ml):
+
+    - {b chunk-boundary independence}: the event sequence, and the
+      document {!parse_result} builds from it, is the same whether the
       bytes arrive one at a time, in arbitrary chunks, or as a single
       string;
-    - {b diagnostic identity} — malformed input produces the same
-      [CLIP-XML-001] / [CLIP-LIM-001] / [CLIP-LIM-002] codes, messages
-      and (absolute) spans as [Parser.parse_string_result] on the same
-      bytes. The input-size limit included: [Parser] checks it up
-      front against the whole string, so on an oversized document that
-      is {e also} syntactically broken early, before surfacing any
-      other failure a chunked feed drains and sizes the rest of the
-      feed and reports [CLIP-LIM-001] exactly as [Parser] would —
-      diagnostics never depend on where the feed was cut. *)
+    - {b diagnostic identity}: malformed input produces the
+      reference's [CLIP-XML-001] / [CLIP-LIM-001] / [CLIP-LIM-002]
+      code, message and absolute span. The input-size limit included:
+      on an oversized document that is also broken early, a chunked
+      feed drains and sizes the rest of the feed before surfacing any
+      other failure and reports [CLIP-LIM-001] at offset 0, as an
+      up-front check of the whole input does. *)
 
-(** One markup event. Text is delivered exactly as {!Parser} would
-    store it: whitespace-only runs dropped, surrounding space trimmed,
-    entities decoded ([Atom.of_string] typed); CDATA kept raw as
-    [Atom.String]. [End] carries the (already match-checked) tag. *)
+(** One markup event. Text is delivered as the tree stores it:
+    whitespace-only runs dropped, surrounding space trimmed
+    ([String.trim]'s set), entities decoded, typed by
+    [Atom.of_string]; CDATA kept raw as [Atom.String]. [End] carries
+    the (already match-checked) tag. *)
 type event =
   | Start of { tag : string; attrs : (string * Atom.t) list }
   | Text of Atom.t
@@ -41,9 +51,8 @@ type source
     needs more bytes. *)
 val of_chunks : ?limits:Clip_diag.Limits.t -> (unit -> string option) -> source
 
-(** [of_string s] — the whole string as one chunk; event-for-event and
-    diagnostic-for-diagnostic equivalent to {!Parser.parse_string_result}
-    on [s]. *)
+(** [of_string s] — the whole string as one chunk: the size limit is
+    checked before any byte is scanned. *)
 val of_string : ?limits:Clip_diag.Limits.t -> string -> source
 
 (** [of_channel ic] — read [ic] in [chunk_bytes]-sized chunks (default
@@ -56,7 +65,7 @@ val of_channel :
     diagnostics of the first failure. A failed source latches: every
     subsequent call returns the same error. The [xml.parse]
     {!Clip_fault} site fires once, before the first byte is
-    consumed — same boundary as the tree parser. *)
+    consumed. *)
 val next_result : source -> (event option, Clip_diag.t list) result
 
 (** [pos src] — the absolute byte offset of the next unconsumed byte;
@@ -76,7 +85,7 @@ val subtree_result :
   (Node.t, Clip_diag.t list) result
 
 (** [parse_result src] — drive the source to completion and build the
-    document; [Node.equal]-identical (same text typing, same attribute
-    order) to [Parser.parse_string_result] of the same bytes, with
-    identical diagnostics on failure. *)
+    document (attributes in document order), or the diagnostics of the
+    first failure. The builder runs the raw event step under one
+    diagnostic guard for the whole document. *)
 val parse_result : source -> (Node.t, Clip_diag.t list) result

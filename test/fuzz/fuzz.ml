@@ -97,17 +97,17 @@ let dir_files dir =
            else match read_file p with s -> Some s | exception _ -> None)
   | exception Sys_error _ -> []
 
+let corpus_roots () =
+  if !corpus_dir <> "" then [ !corpus_dir ]
+  else [ "examples"; Filename.concat ".." (Filename.concat ".." "examples") ]
+
 let load_corpus () =
-  let roots =
-    if !corpus_dir <> "" then [ !corpus_dir ]
-    else [ "examples"; Filename.concat ".." (Filename.concat ".." "examples") ]
-  in
   let from_disk =
     List.concat_map
       (fun root ->
         dir_files (Filename.concat root "mappings")
         @ dir_files (Filename.concat root "xsd"))
-      roots
+      (corpus_roots ())
   in
   builtin_corpus @ from_disk
 
@@ -747,6 +747,96 @@ let rel_sweep () =
       !rel_iterations
   end
 
+(* --- Differential XML sweep (--xml N) ---------------------------------- *)
+
+let xml_iterations = ref 0
+
+(* Seed documents: the paper's deptdb instance, a small synthetic one,
+   every figure's printed target instance, the corpus's XSD documents
+   and one document exercising the rest of the grammar (prolog,
+   DOCTYPE, comments, CDATA, entities, character references, single
+   quotes). *)
+let xml_seeds () =
+  let open Clip_scenarios in
+  [
+    Clip_xml.Printer.to_pretty_string Deptdb.instance;
+    Clip_xml.Printer.to_string (Deptdb.synthetic_instance ~depts:3 ~projs:2 ~emps:3);
+    "<?xml version=\"1.0\"?>\n<!DOCTYPE r [<!ELEMENT r ANY>]>\n<!-- head -->\n\
+     <r a='1' b=\"x &amp; y\">\n  <e>&lt;&#65;&#x42;&gt;</e><!-- mid -->\n\
+     \  <c><![CDATA[ raw <b> & ]]></c>  text  <?pi x?><e/>\n</r>\n<!-- tail -->\n";
+  ]
+  @ List.filter_map
+      (fun (f : Figures.t) -> Option.map Clip_xml.Printer.to_pretty_string f.expected)
+      Figures.all
+  @ List.concat_map (fun root -> dir_files (Filename.concat root "xsd")) (corpus_roots ())
+
+(* A parse outcome compared on what a user sees: the tree, or each
+   diagnostic's code, message and span. *)
+let xml_outcome = function
+  | Ok n -> Ok n
+  | Error ds ->
+    Error (List.map (fun d -> (d.Clip_diag.code, d.Clip_diag.message, d.Clip_diag.span)) ds)
+
+let same_xml_outcome a b =
+  match a, b with
+  | Ok x, Ok y -> Clip_xml.Node.equal x y
+  | Error x, Error y -> x = y
+  | Ok _, Error _ | Error _, Ok _ -> false
+
+(* [bytes] as a feed cut into chunks of [next_size ()] bytes. *)
+let feed_chunks ~limits next_size bytes =
+  let pos = ref 0 in
+  Clip_xml.Stream.of_chunks ~limits (fun () ->
+      if !pos >= String.length bytes then None
+      else begin
+        let n = min (next_size ()) (String.length bytes - !pos) in
+        let c = String.sub bytes !pos n in
+        pos := !pos + n;
+        Some c
+      end)
+
+(* Each iteration mutates a seed document and parses it with the
+   library parser, the stream lexer fed whole, byte by byte and in
+   random chunks, and the test-only reference parser: all must build
+   [Node.equal] trees or report identical diagnostics. One iteration in
+   four tightens a limit so the guards are exercised too. *)
+let xml_sweep () =
+  if !xml_iterations > 0 then begin
+    let seeds = xml_seeds () in
+    for i = 1 to !xml_iterations do
+      let rounds = rand 4 in
+      let rec go s k = if k = 0 then s else go (mutate s) (k - 1) in
+      let bytes = go (pick seeds) rounds in
+      let limits =
+        match rand 8 with
+        | 0 -> { limits with Clip_diag.Limits.max_input_bytes = rand (String.length bytes + 1) }
+        | 1 -> { limits with Clip_diag.Limits.max_xml_depth = 1 + rand 4 }
+        | _ -> limits
+      in
+      let reference = xml_outcome (Xml_oracle.parse_string_result ~limits bytes) in
+      let stream src = xml_outcome (Clip_xml.Stream.parse_result src) in
+      let chunked next_size = stream (feed_chunks ~limits next_size bytes) in
+      List.iter
+        (fun (name, outcome) ->
+          if not (same_xml_outcome reference outcome) then begin
+            incr failures;
+            Printf.eprintf
+              "FAILURE [xml]: iteration %d: %s disagrees with the reference\n\
+              \  input prefix: %S\n"
+              i name
+              (String.sub bytes 0 (min 160 (String.length bytes)))
+          end)
+        [
+          ("Parser", xml_outcome (Clip_xml.Parser.parse_string_result ~limits bytes));
+          ("Stream.of_string", stream (Clip_xml.Stream.of_string ~limits bytes));
+          ("one-byte chunks", chunked (fun () -> 1));
+          ("random chunks", chunked (fun () -> 1 + rand 64));
+          ("one whole chunk", chunked (fun () -> max_int));
+        ]
+    done;
+    Printf.printf "xml sweep: %d differential iterations\n%!" !xml_iterations
+  end
+
 (* --- Main loop -------------------------------------------------------- *)
 
 let () =
@@ -764,6 +854,10 @@ let () =
       ( "--rel",
         Arg.Set_int rel_iterations,
         "N  rel-vs-tgd backend differential sweep iterations (default: 0)" );
+      ( "--xml",
+        Arg.Set_int xml_iterations,
+        "N  parser / stream / reference XML differential sweep iterations \
+         (default: 0)" );
       ("--verbose", Arg.Set verbose, "  print each iteration");
     ]
   in
@@ -791,6 +885,7 @@ let () =
   fault_sweep ();
   algebra_sweep ();
   rel_sweep ();
+  xml_sweep ();
   if !failures > 0 then begin
     Printf.eprintf "fuzz: %d failure(s) after %d iterations\n" !failures !iterations;
     exit 1

@@ -1,7 +1,7 @@
-(* Tests for the streaming XML lexer (Clip_xml.Stream): chunk-boundary
-   independence and diagnostic identity against the tree parser, the
-   two contracts the shard cutter and the CLI's --stream path stand
-   on. *)
+(* Tests for the XML lexer (Clip_xml.Stream): chunk-boundary
+   independence and diagnostic identity against the reference parser
+   in test/oracle, the two contracts the shard cutter and the CLI's
+   --stream path stand on. *)
 
 open Clip_xml
 
@@ -43,10 +43,10 @@ let byte_by_byte ?limits bytes =
         Some c
       end)
 
-(* The three stream feeds and the tree parser must agree on [bytes] —
-   same document, or same diagnostics (codes, messages, spans). *)
+(* The three stream feeds and the reference parser must agree on
+   [bytes] — same document, or same diagnostics (codes, messages, spans). *)
 let assert_all_agree ?limits bytes =
-  let reference = outcome (Parser.parse_string_result ?limits bytes) in
+  let reference = outcome (Xml_oracle.parse_string_result ?limits bytes) in
   checks "of_string" reference
     (outcome (Stream.parse_result (Stream.of_string ?limits bytes)));
   checks "byte-by-byte" reference
@@ -108,26 +108,26 @@ let equivalence_tests =
         let limits = { Clip_diag.Limits.default with max_input_bytes = 10 } in
         let bytes = "<r>0123456789</r>" in
         (* The whole-string feed checks the limit up front, exactly as
-           the tree parser does. *)
+           the reference parser does. *)
         checks "of_string"
-          (outcome (Parser.parse_string_result ~limits bytes))
+          (outcome (Xml_oracle.parse_string_result ~limits bytes))
           (outcome (Stream.parse_result (Stream.of_string ~limits bytes)));
         (* A chunked feed discovers the total size incrementally but
            still reports the same code, message and span once the
            running count passes the limit on this well-formed input. *)
         checks "byte-by-byte"
-          (outcome (Parser.parse_string_result ~limits bytes))
+          (outcome (Xml_oracle.parse_string_result ~limits bytes))
           (outcome (Stream.parse_result (byte_by_byte ~limits bytes))));
     Alcotest.test_case
       "size limit beats a later syntax error, chunking-independent" `Quick
       (fun () ->
-        (* Oversized AND malformed: the tree parser's up-front size
+        (* Oversized AND malformed: the reference parser's up-front size
            check reports CLIP-LIM-001 before it ever sees the broken
            markup. A chunked feed recognises the syntax error first —
            the unterminated root, the garbage prologue — while its
            running total is still under the limit; it must drain the
            rest of the feed and report the same CLIP-LIM-001 as the
-           tree parser, wherever the chunks were cut. *)
+           reference parser, wherever the chunks were cut. *)
         let limits = { Clip_diag.Limits.default with max_input_bytes = 10 } in
         List.iter
           (fun bytes -> assert_all_agree ~limits bytes)
@@ -141,6 +141,31 @@ let equivalence_tests =
            the precedence rule only fires when the whole feed is
            actually oversized. *)
         assert_all_agree ~limits "<r><a>");
+    Alcotest.test_case "decode order and well-formedness match the reference"
+      `Quick (fun () ->
+        (* A text run is decoded at the '<' that ends it, except before
+           a CDATA section: there it is decoded once the section has
+           been consumed, so an unterminated section wins. *)
+        List.iter assert_all_agree
+          [
+            "<r>&bad;<e/></r>";
+            "<r>&bad;<![CDATA[x]]></r>";
+            "<r>&bad;<![CDATA[x</r>";
+            "<r>ok<![CDATA[x]]>&#65;</r>";
+            "<r>\012</r>";
+            "<r a=\"1\" b=\"2\" a=\"3\"/>";
+            "<r>&#+65;</r>";
+            "<r>&#0x41;</r>";
+            "<r>&#6_5;</r>";
+            "<r>&#x4_1;</r>";
+            "<r>&#0;</r>";
+            "<r>&#128;</r>";
+            "<r>&#99999999999999999999999;</r>";
+            "<r a='&#x;'/>";
+            "<r>&#;</r>";
+            "<r>\n  <a>x</a>\n  <b>\n</c>\n</r>";
+            "<r>\n\n  <a k=\"&nope;\"/>\n</r>";
+          ]);
     Alcotest.test_case "event stream shape" `Quick (fun () ->
         let st = Stream.of_string "<r a=\"1\">hi<e/></r>" in
         let next () =
@@ -248,7 +273,7 @@ let prop_chunk_boundaries =
     ~name:"whole / byte-by-byte / random chunks agree (documents and mutations)"
     gen_case
     (fun (bytes, cuts) ->
-      let reference = outcome (Parser.parse_string_result bytes) in
+      let reference = outcome (Xml_oracle.parse_string_result bytes) in
       outcome (Stream.parse_result (Stream.of_string bytes)) = reference
       && outcome (Stream.parse_result (byte_by_byte bytes)) = reference
       && outcome (Stream.parse_result (chunked bytes cuts)) = reference)

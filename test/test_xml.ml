@@ -166,6 +166,37 @@ let parser_tests =
         match Parser.parse_string "<a>\n<b x=></b></a>" with
         | exception Parser.Parse_error { line; _ } -> checki "line" 2 line
         | _ -> Alcotest.fail "expected a parse error");
+    Alcotest.test_case "ill-formed attributes and character references fail"
+      `Quick (fun () ->
+        (* Each is rejected with CLIP-XML-001 at the cursor: just past
+           the repeated attribute name, or at the end of the text run
+           or attribute value holding the reference. *)
+        List.iter
+          (fun (doc, message, offset) ->
+            match Parser.parse_string_result doc with
+            | Ok _ -> Alcotest.fail (doc ^ ": accepted")
+            | Error [ d ] ->
+              checks doc Clip_diag.Codes.xml_syntax d.Clip_diag.code;
+              checks doc message d.Clip_diag.message;
+              (match d.Clip_diag.span with
+               | Some sp -> checki doc offset sp.Clip_diag.offset
+               | None -> Alcotest.fail (doc ^ ": no span"))
+            | Error _ -> Alcotest.fail (doc ^ ": expected one diagnostic"))
+          [
+            ({|<a x="1" x="2"/>|}, "duplicate attribute x", 10);
+            ("<r>&#+65;</r>", "malformed character reference &#+65;", 9);
+            ("<r>&#0x41;</r>", "malformed character reference &#0x41;", 10);
+            ("<r>&#6_5;</r>", "malformed character reference &#6_5;", 9);
+            ("<r>&#x4_1;</r>", "malformed character reference &#x4_1;", 10);
+            ("<r>&#x;</r>", "malformed character reference &#x;", 7);
+            ("<r>&#0;</r>", "unsupported character reference &#0;", 7);
+            ({|<r a="&#0;"/>|}, "unsupported character reference &#0;", 11);
+          ]);
+    Alcotest.test_case "well-formed character references decode" `Quick
+      (fun () ->
+        checkb "decoded" true
+          (Node.text_value (Node.as_element (parse "<a>&#65;&#x42;&#X43;&#0068;</a>"))
+          = Some (Atom.String "ABCD")));
   ]
 
 (* --- Printers ------------------------------------------------------------ *)
@@ -271,6 +302,49 @@ let node_tests =
 
 (* --- Property tests -------------------------------------------------------- *)
 
+(* [Atom.of_string] before its fast paths: the three conversions in
+   order. The fast paths must not change a single result. *)
+let reference_of_string s =
+  match int_of_string_opt s with
+  | Some i -> Atom.Int i
+  | None ->
+    (match float_of_string_opt s with
+     | Some f -> Atom.Float f
+     | None ->
+       (match bool_of_string_opt s with
+        | Some b -> Atom.Bool b
+        | None -> Atom.String s))
+
+let same_atom a b =
+  match a, b with
+  | Atom.Float x, Atom.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> a = b
+
+let gen_lexeme =
+  QCheck2.Gen.(
+    oneof
+      [
+        oneofl
+          [
+            ""; " 12"; "12 "; "_1"; "1_0"; "0x1p3"; "0x1F"; "0b101"; "0o17"; "0u5";
+            "nan"; "NaN"; "inf"; "Infinity"; "-inf"; "+inf"; "true"; "false";
+            "True"; "-"; "+"; "-0"; "007"; "-12"; "+12"; "1e5"; "e5"; "E5"; "x1";
+            "4611686018427387903"; "4611686018427387904"; "999999999999999999";
+            "-999999999999999999"; "1.5"; ".5"; "5."; "emp-0-0"; "John Smith";
+          ];
+        string_size ~gen:(char_range ' ' '~') (0 -- 8);
+        string_size ~gen:(oneofl [ '0'; '1'; '9'; '-'; '+'; '_'; '.'; 'e'; 'x'; 'p'; ' ' ])
+          (0 -- 20);
+        map2 (fun c s -> String.make 1 c ^ s)
+          (oneof [ char_range 'a' 'z'; char_range 'A' 'Z' ])
+          (string_size ~gen:(char_range ' ' '~') (0 -- 8));
+      ])
+
+let prop_atom_of_string =
+  QCheck2.Test.make ~count:2000 ~name:"Atom.of_string agrees with the plain conversions"
+    ~print:(Printf.sprintf "%S") gen_lexeme
+    (fun s -> same_atom (Atom.of_string s) (reference_of_string s))
+
 let gen_atom =
   QCheck2.Gen.(
     oneof
@@ -317,7 +391,12 @@ let prop_canonical_reflexive =
 
 let property_tests =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_roundtrip; prop_pretty_roundtrip; prop_canonical_reflexive ]
+    [
+      prop_roundtrip;
+      prop_pretty_roundtrip;
+      prop_canonical_reflexive;
+      prop_atom_of_string;
+    ]
 
 let () =
   Alcotest.run "xml"
