@@ -14,6 +14,12 @@
      contiguous chain of generators feeding it, when that chain is
      independent of the probe side — into a hash-table probe, built
      once per environment in which the segment's inputs are fixed;
+   - hoisted probes: a correlated equality, whose probe side is bound
+     entirely by the enclosing rules (a nested child rule joined to
+     its parent's variable), turns a segment that reads nothing
+     outside itself into a probe whose document-invariant table is
+     built once per run, lazily at the first probe, into a per-run
+     [Run.t] handle — not re-scanned once per parent binding;
    - streaming execution: bindings are folded into an [emit] callback
      instead of being materialised as a list.
 
@@ -85,27 +91,38 @@ type 'env cond =
    length one. *)
 type ('env, 'item) stage =
   | Scan of { gen : ('env, 'item) gen; preds : 'env pred list }
-  | Probe of {
-      gens : ('env, 'item) gen array;
-          (** the segment's generators, in enumeration order *)
-      slot : int;  (** table slot, unique per probe *)
-      build_at : int;  (** step index at whose entry the table is built *)
-      build_keys : 'env -> Key.t list;
-          (** keys of one build-side tuple (evaluated with the whole
-              segment bound) *)
-      probe_keys : 'env -> Key.t list;
-      preds : 'env pred list;
-          (** residual predicates, including the original equality —
-              re-checked so key coarsening can never widen the join —
-              and every condition pushdown placed inside the segment *)
-    }
+  | Probe of ('env, 'item) probe
+
+and ('env, 'item) probe = {
+  gens : ('env, 'item) gen array;
+      (** the segment's generators, in enumeration order *)
+  slot : int;  (** table slot, unique per probe *)
+  build : build;
+  build_keys : 'env -> Key.t list;
+      (** keys of one build-side tuple (evaluated with the whole
+          segment bound) *)
+  probe_keys : 'env -> Key.t list;
+  preds : 'env pred list;
+      (** residual predicates, including the original equality —
+          re-checked so key coarsening can never widen the join — and
+          every condition pushdown placed inside the segment *)
+}
+
+(* When a probe's table is built. [At i]: on entry to step [i], once
+   per binding of the steps before it. [Per_run id]: a hoisted probe
+   of a correlated child rule — the segment reads nothing outside
+   itself, so its table is document-invariant and is built once per
+   run, lazily at the first probe, into the {!Run.t} handle under
+   [id]. *)
+and build = At of int | Per_run of int
 
 type ('env, 'item) t = {
   pre : 'env pred list;  (** conditions decided by the outer environment *)
   stages : ('env, 'item) stage array;  (** steps, in enumeration order *)
   builds : int list array;
       (** [builds.(i)]: probe steps whose table is built on entry to
-          step [i] (once per binding of the steps [< i]) *)
+          step [i] (once per binding of the steps [< i]); hoisted
+          ([Per_run]) probes are built lazily and never listed here *)
   nslots : int;
   notes : string list;
       (** planner decisions, one line per equality condition: the
@@ -123,10 +140,10 @@ let describe t =
             | Scan { gen; preds } ->
               Printf.sprintf "scan(%s%s)" gen.var
                 (if preds = [] then "" else Printf.sprintf "/%d" (List.length preds))
-            | Probe { gens; build_at; _ } ->
-              Printf.sprintf "probe(%s@%d)"
+            | Probe { gens; build; _ } ->
+              Printf.sprintf "probe(%s@%s)"
                 (String.concat "." (Array.to_list (Array.map (fun g -> g.var) gens)))
-                build_at)
+                (match build with At i -> string_of_int i | Per_run _ -> "run"))
           t.stages))
 
 (* --- Cost model --------------------------------------------------------- *)
@@ -174,11 +191,12 @@ let explain t =
         Printf.bprintf b "  stage %d: scan %s (est %s)%s\n" i gen.var
           (est_str gen.est)
           (filters "filter" (List.length preds))
-      | Probe { gens; build_at; preds; _ } ->
-        Printf.bprintf b "  stage %d: hash probe %s (built at step %d, est %s)%s\n"
-          i
+      | Probe { gens; build; preds; _ } ->
+        Printf.bprintf b "  stage %d: hash probe %s (%s, est %s)%s\n" i
           (String.concat "." (Array.to_list (Array.map (fun g -> g.var) gens)))
-          build_at
+          (match build with
+           | At k -> Printf.sprintf "built at step %d" k
+           | Per_run _ -> "built once per run")
           (est_str (est_product gens))
           (filters "residual filter" (List.length preds)))
     t.stages;
@@ -186,6 +204,10 @@ let explain t =
   Buffer.contents b
 
 (* --- Planning ---------------------------------------------------------- *)
+
+(* Keys of hoisted tables in a {!Run.t}: unique across every plan of
+   the process, so one handle serves all the plans of a mapping tree. *)
+let hoist_ids = Atomic.make 0
 
 let plan ?(policy = `Force) ~bound ~gens ~conds () =
   (* Fault boundary: planning happens inside the backends' guarded
@@ -268,47 +290,52 @@ let plan ?(policy = `Force) ~bound ~gens ~conds () =
             (* Try segments [g..s], shortest first. [ext g] is what
                the segment reads from outside itself — the generators'
                dependencies plus the build keys, minus the segment's
-               own variables — and [bp] the level at which all of that
-               is bound. The join pays off only when the table
-               survives at least one generator outside the segment
-               ([bp < g]; [bp = g] would rebuild it per probe), and is
-               only possible when the probe keys are decided by then
-               ([level probe.kvars <= g]). Growing the segment
-               downward absorbs feeder generators (e.g. [d2] in
-               [d2 in source.dept, r in d2.regEmp]) whose presence
-               would otherwise pin [bp] to [s]. *)
+               own variables. *)
+            let ext g =
+              let seg_var v =
+                let rec mem t = t <= s && (String.equal gens.(t).var v || mem (t + 1)) in
+                mem g
+              in
+              let vars = ref (List.filter (fun v -> not (seg_var v)) build.kvars) in
+              for t = g to s do
+                vars := List.filter (fun v -> not (seg_var v)) gens.(t).deps @ !vars
+              done;
+              !vars
+            in
+            (* Estimated bindings of generators [lo..hi]; [None] when
+               any member is unknown. *)
+            let est_range lo hi =
+              let rec go i acc =
+                if i > hi then Some acc
+                else
+                  match gens.(i).est with
+                  | None -> None
+                  | Some e -> go (i + 1) (min est_cap (acc * min (max e 0) est_cap))
+              in
+              go lo 1
+            in
+            let seg_vars g =
+              String.concat "." (List.init (s - g + 1) (fun t -> gens.(g + t).var))
+            in
+            let claim g build_point =
+              let slot = !nslots in
+              incr nslots;
+              for t = g to s do
+                claimed.(t) <- true
+              done;
+              seg_start.(g) <- Some (s, slot, build_point, build, probe)
+            in
             let lp = level probe.kvars in
-            (* Structural guard, independent of the cost model: the
-               probe side must read at least one variable bound by a
-               generator of this chain ([lp >= 1]). An equality whose
-               probe side is decided entirely by the outer environment
-               or by constants (e.g. [y.a = 5]) carries no equi-join
-               key between generators — turning it into a table build
-               would trade a pushed-down filter for allocation. *)
             if lp >= 1 then begin
-              let ext g =
-                let seg_var v =
-                  let rec mem t = t <= s && (String.equal gens.(t).var v || mem (t + 1)) in
-                  mem g
-                in
-                let vars = ref (List.filter (fun v -> not (seg_var v)) build.kvars) in
-                for t = g to s do
-                  vars := List.filter (fun v -> not (seg_var v)) gens.(t).deps @ !vars
-                done;
-                !vars
-              in
-              (* Estimated bindings of generators [lo..hi]; [None]
-                 when any member is unknown. *)
-              let est_range lo hi =
-                let rec go i acc =
-                  if i > hi then Some acc
-                  else
-                    match gens.(i).est with
-                    | None -> None
-                    | Some e -> go (i + 1) (min est_cap (acc * min (max e 0) est_cap))
-                in
-                go lo 1
-              in
+              (* An equi-join between generators of this chain. [bp] is
+                 the level at which all of [ext g] is bound. The join
+                 pays off only when the table survives at least one
+                 generator outside the segment ([bp < g]; [bp = g]
+                 would rebuild it per probe), and is only possible when
+                 the probe keys are decided by then ([lp <= g]).
+                 Growing the segment downward absorbs feeder generators
+                 (e.g. [d2] in [d2 in source.dept, r in d2.regEmp])
+                 whose presence would otherwise pin [bp] to [s]. *)
               let cost_rejected = ref None in
               let cost_ok g =
                 match policy with
@@ -336,24 +363,56 @@ let plan ?(policy = `Force) ~bound ~gens ~conds () =
                    note "eq(%s): no independent feeder segment, kept as pushed-down filter"
                      vars)
               | Some g ->
-                let seg_vars =
-                  String.concat "."
-                    (List.init (s - g + 1) (fun t -> gens.(g + t).var))
-                in
                 (match policy with
-                 | `Force -> note "eq(%s): hash join over %s (forced)" vars seg_vars
+                 | `Force -> note "eq(%s): hash join over %s (forced)" vars (seg_vars g)
                  | `Cost ->
                    let outer = est_range 0 (g - 1) and seg = est_range g s in
                    note "eq(%s): hash join over %s (outer~%s, seg~%s: join pays)" vars
-                     seg_vars (est_str outer) (est_str seg));
-                let slot = !nslots in
-                incr nslots;
-                for t = g to s do
-                  claimed.(t) <- true
-                done;
-                seg_start.(g) <- Some (s, slot, level (ext g), build, probe)
+                     (seg_vars g) (est_str outer) (est_str seg));
+                claim g (At (level (ext g)))
+            end
+            else if probe.kvars <> [] then begin
+              (* A correlated equality: every probe-side variable is
+                 bound by the enclosing rules — the nested child rule
+                 [g in db.grant where c.@cid = g.@recipient] under
+                 [c in db.company]. This chain then runs once per
+                 enclosing binding, so a table built per execution
+                 would be rebuilt per parent. A segment that reads
+                 nothing outside itself ([ext g = []]: no enclosing and
+                 no earlier chain variable, in its generators or its
+                 build keys) enumerates the same tuples under every
+                 enclosing binding, so its table is document-invariant
+                 and is hoisted: built once per run, at the first
+                 probe, and shared by every later probe. The build
+                 replaces at least the one enumeration the first probe
+                 would have scanned anyway, so no cost check is needed. *)
+              let rec pick g =
+                if g < 0 || claimed.(g) then None
+                else if ext g = [] then Some g
+                else pick (g - 1)
+              in
+              match pick s with
+              | None ->
+                note "eq(%s): probe side reads no chain generator, kept as pushed-down filter"
+                  vars
+              | Some g ->
+                (match policy with
+                 | `Force ->
+                   note "eq(%s): hoisted hash join over %s, built once per run (forced)" vars
+                     (seg_vars g)
+                 | `Cost ->
+                   note
+                     "eq(%s): hoisted hash join over %s, built once per run (probe keys from the enclosing rules, seg~%s)"
+                     vars (seg_vars g)
+                     (est_str (est_range g s)));
+                claim g (Per_run (Atomic.fetch_and_add hoist_ids 1))
             end
             else
+              (* Structural guard, independent of the cost model: an
+                 equality whose probe side is a constant (e.g.
+                 [y.a = 5]) carries no equi-join key at all — turning
+                 it into a table build would trade a pushed-down filter
+                 for allocation. *)
               note "eq(%s): probe side reads no chain generator, kept as pushed-down filter"
                 vars
         end)
@@ -369,7 +428,7 @@ let plan ?(policy = `Force) ~bound ~gens ~conds () =
   while !i < n do
     starts_rev := !i :: !starts_rev;
     (match seg_start.(!i) with
-    | Some (s, slot, bp, build, probe) ->
+    | Some (s, slot, build_point, build, probe) ->
       let preds = ref [] in
       for t = s + 1 downto !i + 1 do
         preds := List.rev_append preds_at.(t) !preds
@@ -379,7 +438,7 @@ let plan ?(policy = `Force) ~bound ~gens ~conds () =
           {
             gens = Array.sub gens !i (s - !i + 1);
             slot;
-            build_at = bp (* a generator level for now; mapped below *);
+            build = build_point (* [At] holds a generator level for now; mapped below *);
             build_keys = build.keys;
             probe_keys = probe.keys;
             preds = !preds;
@@ -406,15 +465,16 @@ let plan ?(policy = `Force) ~bound ~gens ~conds () =
   Array.iteri
     (fun idx step ->
       match step with
-      | Probe p -> stages.(idx) <- Probe { p with build_at = step_of_level p.build_at }
-      | Scan _ -> ())
+      | Probe ({ build = At lvl; _ } as p) ->
+        stages.(idx) <- Probe { p with build = At (step_of_level lvl) }
+      | Probe { build = Per_run _; _ } | Scan _ -> ())
     stages;
   let builds = Array.make (Array.length stages + 1) [] in
   Array.iteri
     (fun idx stage ->
       match stage with
-      | Probe { build_at; _ } -> builds.(build_at) <- idx :: builds.(build_at)
-      | Scan _ -> ())
+      | Probe { build = At k; _ } -> builds.(k) <- idx :: builds.(k)
+      | Probe { build = Per_run _; _ } | Scan _ -> ())
     stages;
   Array.iteri (fun idx l -> builds.(idx) <- List.rev l) builds;
   { pre = List.rev preds_at.(0); stages; builds; nslots = !nslots; notes = List.rev !notes }
@@ -428,7 +488,8 @@ let plan ?(policy = `Force) ~bound ~gens ~conds () =
    immediately before it — its expression then re-enumerates the same
    elements once per binding of that variable. A straight-line chain
    (every scan reads the previous stage's variable) never revisits, so
-   indexing it only adds memoisation overhead. *)
+   indexing it only adds memoisation overhead; neither does a hoisted
+   probe, whose segment is enumerated once per run. *)
 let revisit_prone t =
   let n = Array.length t.stages in
   let last_var i =
@@ -439,7 +500,8 @@ let revisit_prone t =
     i < n
     &&
     match t.stages.(i) with
-    | Probe _ -> true
+    | Probe { build = Per_run _; _ } -> go (i + 1)
+    | Probe { build = At _; _ } -> true
     | Scan { gen; _ } ->
       (i >= 1 && not (List.mem (last_var (i - 1)) gen.deps)) || go (i + 1)
   in
@@ -449,51 +511,79 @@ let revisit_prone t =
 
 module KeyTbl = Hashtbl.Make (Key)
 
-(* Build probe stage [k]'s hash table into [tables]. Shared by the
-   depth-first interpreter and the vectorized executor — builds depend
-   on the environment they run under, so each caller decides which
-   tables array (shared vs per-frontier-cell snapshot) receives the
-   result. *)
-let build_into ?obs (t : ('env, 'item) t)
-    (tables : (int * 'item list) KeyTbl.t option array) ~(env : 'env) k =
+(* A probe table: bound segment tuples under their keys, each tagged
+   with its enumeration sequence number. *)
+type 'item table = (int * 'item list) KeyTbl.t
+
+module Run = struct
+  (* The hoisted tables of one run, keyed by [Per_run] id. A plan is
+     memoised per session and shared across runs and domains, so it
+     holds no table itself; each backend run creates one handle and
+     passes it to every execution of every plan of that run. *)
+  type 'item t = (int, 'item table) Hashtbl.t
+
+  let create () : 'item t = Hashtbl.create 4
+end
+
+(* Enumerate a probe's whole segment under [env] into a fresh table,
+   inserting each bound tuple as it is enumerated — no intermediate
+   list, so a large build leaves no extra garbage to promote. Each
+   tuple carries its enumeration sequence number; [Hashtbl.add] stacks
+   (and resizing keeps the stacking order), so [find_all] lists a
+   key's tuples newest first. Keys are deduped per tuple so a
+   multi-valued build side never yields the same tuple twice. *)
+let build_table ?obs (p : ('env, 'item) probe) ~(env : 'env) : 'item table =
+  Clip_obs.hash_join_build obs;
+  let gens = p.gens in
+  let m = Array.length gens in
+  let tbl = KeyTbl.create 16 in
+  let seq = ref 0 in
+  let rec enum d env tuple_rev =
+    if d = m then begin
+      let entry = (!seq, List.rev tuple_rev) in
+      incr seq;
+      List.iter (fun key -> KeyTbl.add tbl key entry) (List.sort_uniq compare (p.build_keys env))
+    end
+    else
+      List.iter
+        (fun item -> enum (d + 1) (gens.(d).bind env item) (item :: tuple_rev))
+        (gens.(d).eval env)
+  in
+  enum 0 env [];
+  tbl
+
+(* Build probe stage [k]'s per-step ([At]) table into [tables]. Shared
+   by the depth-first interpreter and the vectorized executor — builds
+   depend on the environment they run under, so each caller decides
+   which tables array (shared vs per-frontier-cell snapshot) receives
+   the result. *)
+let build_into ?obs (t : ('env, 'item) t) (tables : 'item table option array)
+    ~(env : 'env) k =
   match t.stages.(k) with
+  | Probe p -> tables.(p.slot) <- Some (build_table ?obs p ~env)
   | Scan _ -> ()
-  | Probe { gens; slot; build_keys; _ } ->
-    Clip_obs.hash_join_build obs;
-    (* Enumerate the whole segment once, collecting each bound tuple
-       with its keys (reversed enumeration order). *)
-    let m = Array.length gens in
-    let entries = ref [] in
-    let rec enum d env tuple_rev =
-      if d = m then
-        entries :=
-          (List.sort_uniq compare (build_keys env), List.rev tuple_rev) :: !entries
-      else
-        List.iter
-          (fun item -> enum (d + 1) (gens.(d).bind env item) (item :: tuple_rev))
-          (gens.(d).eval env)
-    in
-    enum 0 env [];
-    let tbl = KeyTbl.create (2 * List.length !entries + 1) in
-    (* [Hashtbl.add] stacks, so insert back-to-front: [find_all]
-       then yields enumeration (document) order. Sequence numbers
-       recover a global order for multi-key probes. Keys are deduped
-       per tuple so a multi-valued build side never yields the same
-       tuple twice. *)
-    let seq = ref (List.length !entries) in
-    List.iter
-      (fun (keys, tuple) ->
-        decr seq;
-        List.iter (fun key -> KeyTbl.add tbl key (!seq, tuple)) keys)
-      !entries;
-    tables.(slot) <- Some tbl
+
+(* The table a probe reads under [env]: its per-step table, or for a
+   hoisted probe the run's table — built here, at the first probe of
+   the run, so nothing is built when the stage is never reached. *)
+let probe_table ?obs (run : 'item Run.t) (tables : 'item table option array)
+    (p : ('env, 'item) probe) ~(env : 'env) =
+  match p.build with
+  | At _ -> (match tables.(p.slot) with Some tbl -> tbl | None -> assert false)
+  | Per_run id ->
+    (match Hashtbl.find_opt run id with
+     | Some tbl -> tbl
+     | None ->
+       let tbl = build_table ?obs p ~env in
+       Hashtbl.add run id tbl;
+       tbl)
 
 (* Tuples of [tbl] matching any of [keys] (sorted, deduped), in
    enumeration (document) order. *)
 let probe_tuples tbl keys =
   match keys with
   | [] -> []
-  | [ k ] -> List.map snd (KeyTbl.find_all tbl k)
+  | [ k ] -> List.rev_map snd (KeyTbl.find_all tbl k)
   | ks ->
     (* Multi-valued side: union the per-key hits, dedup by
        sequence number, restore document order. *)
@@ -511,12 +601,26 @@ let probe_tuples tbl keys =
     in
     List.map snd (List.sort (fun (a, _) (b, _) -> compare a b) uniq)
 
-let execute ?obs (t : ('env, 'item) t) ~(tick : unit -> unit) ~(env : 'env)
-    ~(emit : 'env -> unit) : unit =
+(* One probe of stage [p] under [env]: every matching tuple is bound
+   back onto [env] (one [tick] per hit, as a scan ticks per item), and
+   the bindings that pass the residual predicates go to [k]. *)
+let probe_each ?obs run tables (p : ('env, 'item) probe) ~tick ~(env : 'env) k =
+  Clip_obs.hash_join_probe obs;
+  let tbl = probe_table ?obs run tables p ~env in
+  List.iter
+    (fun tuple ->
+      tick ();
+      let env' =
+        List.fold_left (fun (d, env) item -> (d + 1, p.gens.(d).bind env item)) (0, env) tuple
+        |> snd
+      in
+      if List.for_all (fun q -> q.test env') p.preds then k env')
+    (probe_tuples tbl (List.sort_uniq compare (p.probe_keys env)))
+
+let execute ?obs ~(run : 'item Run.t) (t : ('env, 'item) t) ~(tick : unit -> unit)
+    ~(env : 'env) ~(emit : 'env -> unit) : unit =
   let n = Array.length t.stages in
-  let tables : (int * 'item list) KeyTbl.t option array =
-    Array.make (max 1 t.nslots) None
-  in
+  let tables : 'item table option array = Array.make (max 1 t.nslots) None in
   let rec go i env =
     if i = n then emit env
     else begin
@@ -529,21 +633,7 @@ let execute ?obs (t : ('env, 'item) t) ~(tick : unit -> unit) ~(env : 'env)
             let env' = gen.bind env item in
             if List.for_all (fun p -> p.test env') preds then go (i + 1) env')
           (gen.eval env)
-      | Probe { gens; slot; probe_keys; preds; _ } ->
-        Clip_obs.hash_join_probe obs;
-        let tbl = match tables.(slot) with Some tbl -> tbl | None -> assert false in
-        let tuples = probe_tuples tbl (List.sort_uniq compare (probe_keys env)) in
-        List.iter
-          (fun tuple ->
-            tick ();
-            let env' =
-              List.fold_left
-                (fun (d, env) item -> (d + 1, gens.(d).bind env item))
-                (0, env) tuple
-              |> snd
-            in
-            if List.for_all (fun p -> p.test env') preds then go (i + 1) env')
-          tuples
+      | Probe p -> probe_each ?obs run tables p ~tick ~env (go (i + 1))
     end
   in
   if List.for_all (fun p -> p.test env) t.pre then go 0 env
@@ -571,12 +661,10 @@ let rec take_chunk k acc l =
    expansion instead of a cons cell plus a reversal cell per surviving
    binding. Counter traces are identical to the general executor: same
    expansions, same widths, same per-cell probe counts. *)
-let execute_batch_shared ?obs (t : ('env, 'item) t) ~(tick : unit -> unit)
+let execute_batch_shared ?obs ~run (t : ('env, 'item) t) ~(tick : unit -> unit)
     ~(env : 'env) ~(emit : 'env -> unit) : unit =
   let n = Array.length t.stages in
-  let tables : (int * 'item list) KeyTbl.t option array =
-    Array.make (max 1 t.nslots) None
-  in
+  let tables : 'item table option array = Array.make (max 1 t.nslots) None in
   let expand i (src : 'env array) lo hi (sink : 'env -> unit) =
     Clip_obs.batch_executed obs;
     if Clip_obs.enabled obs then Clip_obs.batch_width obs (hi - lo);
@@ -591,23 +679,9 @@ let execute_batch_shared ?obs (t : ('env, 'item) t) ~(tick : unit -> unit)
             if List.for_all (fun p -> p.test env') preds then sink env')
           (gen.eval env)
       done
-    | Probe { gens; slot; probe_keys; preds; _ } ->
-      let tbl = match tables.(slot) with Some tbl -> tbl | None -> assert false in
+    | Probe p ->
       for j = lo to hi - 1 do
-        let env = src.(j) in
-        Clip_obs.hash_join_probe obs;
-        let tuples = probe_tuples tbl (List.sort_uniq compare (probe_keys env)) in
-        List.iter
-          (fun tuple ->
-            tick ();
-            let env' =
-              List.fold_left
-                (fun (d, env) item -> (d + 1, gens.(d).bind env item))
-                (0, env) tuple
-              |> snd
-            in
-            if List.for_all (fun p -> p.test env') preds then sink env')
-          tuples
+        probe_each ?obs run tables p ~tick ~env:src.(j) sink
       done
   in
   let rec run i (src : 'env array) lo hi =
@@ -662,9 +736,9 @@ let batchable (t : ('env, 'item) t) =
 let scan_only (t : ('env, 'item) t) =
   Array.for_all (function Scan _ -> true | Probe _ -> false) t.stages
 
-let execute_batch ?obs (t : ('env, 'item) t) ~(tick : unit -> unit)
+let execute_batch ?obs ~run (t : ('env, 'item) t) ~(tick : unit -> unit)
     ~(env : 'env) ~(emit : 'env -> unit) : unit =
-  if batchable t then execute_batch_shared ?obs t ~tick ~env ~emit
+  if batchable t then execute_batch_shared ?obs ~run t ~tick ~env ~emit
   else begin
   let n = Array.length t.stages in
   (* One frontier cell: an environment plus its private view of the
@@ -696,24 +770,9 @@ let execute_batch ?obs (t : ('env, 'item) t) ~(tick : unit -> unit)
               if List.for_all (fun p -> p.test env') preds then
                 out := (env', tables) :: !out)
             (gen.eval env)
-        | Probe { gens; slot; probe_keys; preds; _ } ->
-          Clip_obs.hash_join_probe obs;
-          let tbl =
-            match tables.(slot) with Some tbl -> tbl | None -> assert false
-          in
-          let tuples = probe_tuples tbl (List.sort_uniq compare (probe_keys env)) in
-          List.iter
-            (fun tuple ->
-              tick ();
-              let env' =
-                List.fold_left
-                  (fun (d, env) item -> (d + 1, gens.(d).bind env item))
-                  (0, env) tuple
-                |> snd
-              in
-              if List.for_all (fun p -> p.test env') preds then
-                out := (env', tables) :: !out)
-            tuples)
+        | Probe p ->
+          probe_each ?obs run tables p ~tick ~env (fun env' ->
+              out := (env', tables) :: !out))
       cells;
     List.rev !out
   in

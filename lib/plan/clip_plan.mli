@@ -17,6 +17,14 @@
       hash-table probe; the table enumerates the segment once per
       environment in which its inputs are fixed and is probed with the
       earlier side's key;
+    - {b hoisted probes} — a correlated equality, whose probe side is
+      bound entirely by the enclosing rules (a nested child rule
+      [g in db.grant where c.@cid = g.@recipient] under
+      [c in db.company]), becomes a probe over a segment that reads
+      nothing outside itself; such a table is document-invariant, so
+      it is built once per run, lazily at the first probe, into a
+      per-run {!Run.t} handle instead of the segment being re-scanned
+      once per enclosing binding;
     - {b streaming execution} — bindings are folded into an [emit]
       callback; the full Cartesian product is never materialised.
 
@@ -105,20 +113,28 @@ type 'env cond =
 (** A step covers one generator ([Scan]) or a contiguous segment of
     generators ([Probe]) replaced wholesale by a hash-table lookup
     storing bound item tuples; a plain single-generator hash join is
-    the segment of length one. [build_at] is the step index at whose
-    entry the table is built; [preds] are re-checked on every hit
-    (they include the original equality, so key coarsening can never
-    widen the join). *)
+    the segment of length one. [build] says when the table is built;
+    [preds] are re-checked on every hit (they include the original
+    equality, so key coarsening can never widen the join). *)
 type ('env, 'item) stage =
   | Scan of { gen : ('env, 'item) gen; preds : 'env pred list }
-  | Probe of {
-      gens : ('env, 'item) gen array;
-      slot : int;
-      build_at : int;
-      build_keys : 'env -> Key.t list;
-      probe_keys : 'env -> Key.t list;
-      preds : 'env pred list;
-    }
+  | Probe of ('env, 'item) probe
+
+and ('env, 'item) probe = {
+  gens : ('env, 'item) gen array;
+  slot : int;
+  build : build;
+  build_keys : 'env -> Key.t list;
+  probe_keys : 'env -> Key.t list;
+  preds : 'env pred list;
+}
+
+(** [At i]: the table is built on entry to step [i], once per binding
+    of the steps before it. [Per_run id]: a hoisted probe — the
+    segment reads nothing outside itself, so the table is built once
+    per run, at the first probe, and kept under [id] in the run's
+    {!Run.t}. *)
+and build = At of int | Per_run of int
 
 type ('env, 'item) t = {
   pre : 'env pred list;
@@ -166,11 +182,15 @@ val join_pays : outer:int option -> seg:int option -> bool
     forced and cost-based join selection; condition pushdown is free
     and happens under both. Regardless of policy, an equality whose
     probe side reads no chain generator variable (a constant or
-    outer-bound key) is never turned into a join — it stays a
-    pushed-down filter. If a generator shadows an outer variable or a
-    sibling generator, the planner degrades to checking every
-    condition at the innermost position (naive semantics are always
-    preserved). *)
+    outer-bound key) is never turned into a per-step join. When the
+    probe side reads outer-bound variables only (a correlated child
+    rule), it becomes a hoisted [Per_run] probe, under both policies,
+    if some segment ending at the build side reads nothing outside
+    itself; otherwise, and always for a key-less side such as
+    [y.a = 5], it stays a pushed-down filter. If a generator shadows
+    an outer variable or a sibling generator, the planner degrades to
+    checking every condition at the innermost position (naive
+    semantics are always preserved). *)
 val plan :
   ?policy:policy ->
   bound:string list ->
@@ -180,29 +200,43 @@ val plan :
   ('env, 'item) t
 
 (** [revisit_prone t] — can executing [t] enumerate the same parent
-    element more than once? True when some stage is a probe (its table
-    may be rebuilt per outer binding) or some later scan is
-    independent of the variable bound immediately before it. The lazy
-    tag index only pays on such plans; straight-line chains never
-    reuse a grouping. *)
+    element more than once? True when some stage is a per-step ([At])
+    probe (its table may be rebuilt per outer binding) or some later
+    scan is independent of the variable bound immediately before it.
+    A hoisted ([Per_run]) probe enumerates its segment once per run
+    and does not count. The lazy tag index only pays on such plans;
+    straight-line chains never reuse a grouping. *)
 val revisit_prone : ('env, 'item) t -> bool
 
-(** [execute ?obs t ~tick ~env ~emit] streams every surviving binding
-    of the chain into [emit], in exactly the naive enumeration order.
-    [tick] is called once per item enumerated at every stage, so step
-    budgets keep metering enumerated bindings (CLIP-LIM-004). [?obs]
-    counts hash-join builds and probes. *)
+(** The per-run home of hoisted tables. A plan holds no mutable
+    state — plans are memoised per session and shared across runs and
+    domains — so each backend run creates one handle and passes it to
+    every execution of every plan of that run. *)
+module Run : sig
+  type 'item t
+
+  val create : unit -> 'item t
+end
+
+(** [execute ?obs ~run t ~tick ~env ~emit] streams every surviving
+    binding of the chain into [emit], in exactly the naive enumeration
+    order. [tick] is called once per item enumerated at every stage,
+    so step budgets keep metering enumerated bindings (CLIP-LIM-004).
+    Hoisted probes read (and at their first probe, build) their tables
+    in [run]. [?obs] counts hash-join builds and probes. *)
 val execute :
   ?obs:Clip_obs.Counters.t ->
+  run:'item Run.t ->
   ('env, 'item) t ->
   tick:(unit -> unit) ->
   env:'env ->
   emit:('env -> unit) ->
   unit
 
-(** [batchable t] — true when every hash-join build of [t] fires
-    before stage 0, so a breadth-first frontier can share one table
-    set and {!execute_batch} runs its allocation-free sweep.
+(** [batchable t] — true when every per-step hash-join build of [t]
+    fires before stage 0 (hoisted tables are per run, so they never
+    vary across a frontier), so a breadth-first frontier can share one
+    table set and {!execute_batch} runs its allocation-free sweep.
     Correlated (later-stage) builds force the batch executor onto a
     per-cell table-snapshot path that costs more than the depth-first
     {!execute}; evaluators use this predicate to batch exactly the
@@ -216,7 +250,7 @@ val batchable : ('env, 'item) t -> bool
     workloads. *)
 val scan_only : ('env, 'item) t -> bool
 
-(** [execute_batch ?obs t ~tick ~env ~emit] — the vectorized executor:
+(** [execute_batch ?obs ~run t ~tick ~env ~emit] — the vectorized executor:
     instead of one recursive descent per binding, each stage runs as
     one sweep over a frontier chunk of environments (id vectors, on
     the columnar document path). Emission order, survivors and the
@@ -229,6 +263,7 @@ val scan_only : ('env, 'item) t -> bool
     additionally counts [batches_executed] / [batch_width]. *)
 val execute_batch :
   ?obs:Clip_obs.Counters.t ->
+  run:'item Run.t ->
   ('env, 'item) t ->
   tick:(unit -> unit) ->
   env:'env ->

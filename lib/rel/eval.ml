@@ -363,9 +363,11 @@ let execute ?(limits = Clip_diag.Limits.default) ?(plan = `Auto)
          p)
     | _ -> build ()
   in
+  (* Hoisted join tables live for this run only. *)
+  let run = Clip_plan.Run.create () in
   let rec eval_planned env (p : planned) =
     pre_instantiate env p.rm;
-    Clip_plan.execute ?obs:ctx.obs p.rplan
+    Clip_plan.execute ?obs:ctx.obs ~run p.rplan
       ~tick:(fun () -> tick ctx)
       ~env
       ~emit:(fun env ->

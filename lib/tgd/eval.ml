@@ -517,18 +517,19 @@ let rec plan_mapping ctx policy bound var_tags (m : Tgd.t) =
    a chain {!Clip_plan.revisit_prone} answers; across nesting, a child
    chain runs once per parent binding, so its first generator
    re-enumerates the same elements whenever it does not read the
-   parent chain's innermost variable. Only then can the lazy tag
-   index's memoised groupings ever be reused. *)
+   parent chain's innermost variable — unless that first stage is a
+   hoisted probe, whose segment is enumerated once per run. Only then
+   can the lazy tag index's memoised groupings ever be reused. *)
 let rec tree_revisits ~outer_last (p : planned) =
   let stages = (p.pplan : (_, _) Clip_plan.t).stages in
   let nst = Array.length stages in
   let first_indep =
     nst > 0
     &&
-    match outer_last with
-    | None -> false
-    | Some v ->
-      let gens = Clip_plan.stage_gens stages.(0) in
+    match outer_last, stages.(0) with
+    | None, _ | Some _, Clip_plan.Probe { build = Clip_plan.Per_run _; _ } -> false
+    | Some v, first ->
+      let gens = Clip_plan.stage_gens first in
       not (List.mem v gens.(0).Clip_plan.deps)
   in
   let last =
@@ -683,6 +684,8 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
     | `Auto -> Xml.Stats.node_count (force_stats ctx) >= columnar_threshold
   in
   let docidx () = snd (force_doc ctx) in
+  (* Hoisted join tables live for this run only. *)
+  let run = Clip_plan.Run.create () in
   let rec eval_planned ~outer env (p : planned) =
     pre_instantiate env p.pm;
     (* Batch only where batching pays: the outermost plan of a mapping
@@ -696,7 +699,7 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
         Clip_plan.execute_batch
       else Clip_plan.execute
     in
-    exec ?obs:ctx.obs p.pplan
+    exec ?obs:ctx.obs ~run p.pplan
       ~tick:(fun () -> tick ctx)
       ~env
       ~emit:(fun env ->

@@ -46,7 +46,9 @@ type t = {
          an O(1) array load on the columnar path. *)
   atoms : Atom.t array; (* shared deduplicated atom table *)
   nodes : Node.t array; (* per node: the original boxed subtree *)
-  by_elem : (int, int) Hashtbl.t; (* Node.element.id -> node id *)
+  by_elem : (int, int) Hashtbl.t;
+      (* Node.element.id -> node id, filled only when [elem_map] is
+         empty (sparse ids); empty otherwise *)
   elem_lo : int;
   elem_map : int array;
       (* dense element-id -> node-id map: slot [e.id - elem_lo] holds
@@ -83,8 +85,10 @@ let akey = function
   | Atom.Bool b -> ABool b
 
 let of_node root =
-  (* Pass 1: size everything (stack-safe worklist). *)
+  (* Pass 1: size everything, including the range of element
+     allocation ids (stack-safe worklist). *)
   let n = ref 0 and nattrs = ref 0 and nelems = ref 0 in
+  let elem_lo = ref max_int and elem_hi = ref min_int in
   let stack = ref [ root ] in
   while !stack <> [] do
     match !stack with
@@ -95,9 +99,20 @@ let of_node root =
        | Node.Text _ -> stack := rest
        | Node.Element e ->
          incr nelems;
+         elem_lo := min !elem_lo e.Node.id;
+         elem_hi := max !elem_hi e.Node.id;
          nattrs := !nattrs + List.length e.Node.attrs;
          stack := List.rev_append (List.rev e.Node.children) rest)
   done;
+  (* Dense lookup only when the id range is close to the element
+     count: hash-consing allocates ids monotonically, so a tree built
+     in one go is contiguous; a document assembled from widely-spaced
+     builds keeps a hashtable instead of a mostly-empty array. Exactly
+     one of the two is filled. *)
+  let dense = !nelems > 0 && !elem_hi - !elem_lo + 1 <= 4 * !nelems in
+  let elem_lo = if dense then !elem_lo else 0 in
+  let elem_map = if dense then Array.make (!elem_hi - elem_lo + 1) (-1) else [||] in
+  let by_elem = Hashtbl.create (if dense then 1 else 2 * !nelems) in
   let n = !n in
   let tags = Array.make n (-1) in
   let parent = Array.make n (-1) in
@@ -111,7 +126,6 @@ let of_node root =
   let text_atom = Array.make n (-1) in
   let text_value = Array.make n (-1) in
   let nodes = Array.make n root in
-  let by_elem = Hashtbl.create (2 * !nelems) in
   (* Atom table: deduplicated, in first-seen order. *)
   let atom_ids : (akey, int) Hashtbl.t = Hashtbl.create 64 in
   let atoms_rev = ref [] and natoms = ref 0 in
@@ -131,7 +145,6 @@ let of_node root =
      numbered before any following sibling. *)
   let next = ref 0 in
   let anext = ref 0 in
-  let elem_lo = ref max_int and elem_hi = ref min_int in
   let stack = ref [ (root, -1) ] in
   while !stack <> [] do
     match !stack with
@@ -147,9 +160,10 @@ let of_node root =
        | Node.Element e ->
          tags.(id) <- (e.Node.sym :> int);
          nchildren.(id) <- List.length e.Node.children;
-         elem_lo := min !elem_lo e.Node.id;
-         elem_hi := max !elem_hi e.Node.id;
-         Hashtbl.replace by_elem e.Node.id id;
+         (* A later occurrence of a shared element overwrites an
+            earlier one, in either map. *)
+         if dense then elem_map.(e.Node.id - elem_lo) <- id
+         else Hashtbl.replace by_elem e.Node.id id;
          (match Node.text_value e with
           | Some a -> text_value.(id) <- atom_id a
           | None -> ());
@@ -173,19 +187,6 @@ let of_node root =
     next_sibling.(id) <- first_child.(p);
     first_child.(p) <- id
   done;
-  (* Dense lookup only when the id range is close to the element
-     count: hash-consing allocates ids monotonically, so a tree built
-     in one go is contiguous; a document assembled from widely-spaced
-     builds keeps the hashtable instead of a mostly-empty array. *)
-  let elem_lo, elem_map =
-    let range = !elem_hi - !elem_lo + 1 in
-    if !nelems > 0 && range <= 4 * !nelems then begin
-      let map = Array.make range (-1) in
-      Hashtbl.iter (fun eid id -> map.(eid - !elem_lo) <- id) by_elem;
-      (!elem_lo, map)
-    end
-    else (0, [||])
-  in
   {
     tags;
     parent;
@@ -216,9 +217,7 @@ let to_node t id =
   check t id "to_node";
   t.nodes.(id)
 
-let id_of t (e : Node.element) = Hashtbl.find_opt t.by_elem e.Node.id
-
-(* The non-allocating twin of [id_of] for per-step hot paths: an
+(* The per-step element lookup, non-allocating for hot paths: an
    option cell — and a generic hash — per child step is measurable
    across a whole run. With the dense map, a document element costs an
    offset and a bounds test, and a foreign (evaluator-built) element
@@ -232,6 +231,11 @@ let find_id t (e : Node.element) =
     match Hashtbl.find t.by_elem e.Node.id with
     | id -> id
     | exception Not_found -> -1
+
+let id_of t e =
+  let id = find_id t e in
+  if id >= 0 then Some id else None
+
 let is_element t id = t.tags.(id) >= 0
 
 let tag t id =

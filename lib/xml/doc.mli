@@ -38,12 +38,14 @@ type t = private {
       (** per element: precomputed {!Node.text_value} atom; [-1] = none *)
   atoms : Atom.t array;  (** shared deduplicated atom table *)
   nodes : Node.t array;  (** per node: the original boxed subtree *)
-  by_elem : (int, int) Hashtbl.t;  (** [Node.element.id] -> node id *)
+  by_elem : (int, int) Hashtbl.t;
+      (** [Node.element.id] -> node id; filled only when [elem_map] is
+          empty *)
   elem_lo : int;  (** base of [elem_map] *)
   elem_map : int array;
       (** dense [Node.element.id - elem_lo] -> node id map ([-1] =
           absent); empty when the document's allocation ids are too
-          sparse, and lookups fall back to [by_elem] *)
+          sparse, and lookups use [by_elem] instead *)
   elements : int;
 }
 
@@ -72,7 +74,7 @@ val to_node : t -> int -> Node.t
     @raise Invalid_argument when [id] is out of range. *)
 val rebuild : t -> int -> Node.t
 
-(** [id_of t e] — the preorder id of (the first occurrence of) element
+(** [id_of t e] — the preorder id of (the last occurrence of) element
     [e] in [t], keyed by its allocation id; [None] for elements not
     part of the converted document (e.g. nodes constructed during
     evaluation — callers fall back to the tree path). *)

@@ -49,6 +49,10 @@ type ctx = {
     ref;
   steps : int ref;
   mutable max_steps : int;
+  mutable hoisted : Value.t Clip_plan.Run.t;
+      (* per-run home of the hoisted join tables, fresh per [with_ctx]:
+         memoised plans are shared across a session's runs, their
+         tables are not *)
   mutable obs : Clip_obs.sink;
       (* per-run counter sink, set by [with_ctx]; explicit state — the
          evaluator never reaches for an ambient sink *)
@@ -614,7 +618,7 @@ and eval_flwor_planned ctx env clauses where return =
       if Clip_plan.scan_only p then Clip_plan.execute_batch
       else Clip_plan.execute
   in
-  exec ?obs:ctx.obs p
+  exec ?obs:ctx.obs ~run:ctx.hoisted p
     ~tick:(fun () -> tick ctx)
     ~env
     ~emit:(fun env -> acc := eval ctx env return :: !acc);
@@ -708,6 +712,7 @@ let make_ctx input =
     plans = ref [];
     steps = ref 0;
     max_steps = max_int;
+    hoisted = Clip_plan.Run.create ();
     obs = Clip_obs.none;
     ctl = Clip_run.Control.none;
     sbuf_a = Xml.Index.idbuf_make ();
@@ -860,6 +865,7 @@ let with_ctx ?(ctl = Clip_run.Control.none) ?session ?obs
      | _ -> None (* [`Auto] switches it on adaptively *));
   ctx.steps := 0;
   ctx.max_steps <- limits.Clip_diag.Limits.max_eval_steps;
+  ctx.hoisted <- Clip_plan.Run.create ();
   let record_steps () =
     match steps_out with Some r -> r := !(ctx.steps) | None -> ()
   in

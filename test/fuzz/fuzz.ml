@@ -610,7 +610,8 @@ mapping {
    and the value-child columns. Oracle: the relational backend must be
    byte-identical to the tgd backend whenever both succeed, must carry
    the same diagnostic codes whenever both fail, and both must be
-   total. The canonical encoding itself must round-trip:
+   total; on the join workload each must also agree, in the same way,
+   with the tgd backend's nested-loop [`Naive] interpreter. The canonical encoding itself must round-trip:
    [Relational.to_schema_result] is [Ok] on every generated database
    and [Clip_rel.Shape.of_schema] accepts the result. *)
 let rel_sweep () =
@@ -682,42 +683,53 @@ let rel_sweep () =
     in
     let codes ds = List.map (fun d -> d.Clip_diag.code) ds in
     let show ds = String.concat "," (codes ds) in
-    let differential i label m doc =
+    let differential ?(oracle = false) i label m doc =
       let plan = pick [ `Naive; `Indexed; `Auto ] in
       let repr = pick [ (`Tree : Clip_xml.Doc.repr); `Columnar ] in
-      let run backend =
+      let run ?(plan = plan) backend =
         match Clip_core.Engine.run_result ~limits ~backend ~plan ~repr m doc with
         | r -> Ok r
         | exception e -> Error e
       in
-      match (run `Tgd, run `Rel) with
-      | Error e, _ | _, Error e ->
-        incr failures;
-        Printf.eprintf "FAILURE [rel]: iter %d (%s): raised %s\n" i label
-          (Printexc.to_string e)
-      | Ok (Ok a), Ok (Ok b) ->
-        if not (Clip_xml.Node.equal a b) then begin
+      let compare what a b =
+        match (a, b) with
+        | Error e, _ | _, Error e ->
           incr failures;
-          Printf.eprintf
-            "FAILURE [rel]: iter %d (%s): backend outputs differ\n" i label
-        end
-      | Ok (Error da), Ok (Error db) ->
-        if codes da <> codes db then begin
+          Printf.eprintf "FAILURE [rel]: iter %d (%s): raised %s\n" i label
+            (Printexc.to_string e)
+        | Ok (Ok a), Ok (Ok b) ->
+          if not (Clip_xml.Node.equal a b) then begin
+            incr failures;
+            Printf.eprintf "FAILURE [rel]: iter %d (%s): %s outputs differ\n" i
+              label what
+          end
+        | Ok (Error da), Ok (Error db) ->
+          if codes da <> codes db then begin
+            incr failures;
+            Printf.eprintf
+              "FAILURE [rel]: iter %d (%s): %s diagnostics differ: [%s] vs [%s]\n"
+              i label what (show da) (show db)
+          end
+        | Ok (Ok _), Ok (Error ds) | Ok (Error ds), Ok (Ok _) ->
           incr failures;
-          Printf.eprintf
-            "FAILURE [rel]: iter %d (%s): diagnostics differ: tgd [%s] vs rel \
-             [%s]\n"
-            i label (show da) (show db)
-        end
-      | Ok (Ok _), Ok (Error ds) | Ok (Error ds), Ok (Ok _) ->
-        incr failures;
-        Printf.eprintf "FAILURE [rel]: iter %d (%s): one backend failed [%s]\n"
-          i label (show ds)
+          Printf.eprintf "FAILURE [rel]: iter %d (%s): %s: one run failed [%s]\n"
+            i label what (show ds)
+      in
+      let tgd = run `Tgd and rel = run `Rel in
+      compare "tgd vs rel" tgd rel;
+      (* Both runs above share one plan mode, so when both hoist the
+         correlated join nothing else would check the hoist: compare
+         each with the nested-loop oracle too. *)
+      if oracle then begin
+        let naive = run ~plan:`Naive `Tgd in
+        compare "tgd vs naive tgd" tgd naive;
+        compare "rel vs naive tgd" rel naive
+      end
     in
     for i = 1 to !rel_iterations do
       if i mod 3 = 0 then begin
         if !verbose then Printf.eprintf "rel iter %d: join workload\n" i;
-        differential i "join" join_mapping (random_join_instance ())
+        differential ~oracle:true i "join" join_mapping (random_join_instance ())
       end
       else begin
         let db = random_db () in

@@ -40,17 +40,17 @@ let eq ~left ~lkeys ~right ~rkeys : env P.cond =
 
 let key1 x env = P.Key.of_atom (Atom.Int (lookup env x))
 
-let run_plan p =
+let run_plan ?obs ?(run = P.Run.create ()) ?(env = []) p =
   let acc = ref [] in
   let ticks = ref 0 in
-  P.execute p
+  P.execute ?obs ~run p
     ~tick:(fun () -> incr ticks)
-    ~env:[]
+    ~env
     ~emit:(fun env -> acc := env :: !acc);
   (List.rev !acc, !ticks)
 
 (* The naive reference: full cross product, all conditions innermost. *)
-let run_naive gens conds =
+let run_naive ?(env = []) gens conds =
   let test env = function
     | P.Other p -> p.P.test env
     | P.Eq { orig; _ } -> orig.P.test env
@@ -61,8 +61,117 @@ let run_naive gens conds =
     | g :: rest ->
       List.iter (fun v -> go (g.P.bind env v) rest) (g.P.eval env)
   in
-  go [] gens;
+  go env gens;
   List.rev !acc
+
+let contains hay needle =
+  let n = String.length needle and m = String.length hay in
+  let rec go i = i + n <= m && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
+(* The nested child-rule shape: [g] ranges over a document-wide list,
+   joined to [c], which the enclosing rule binds. *)
+let correlated = [ eq ~left:[ "c" ] ~lkeys:(key1 "c") ~right:[ "g" ] ~rkeys:(key1 "g") ]
+
+let hoist_tests =
+  let grants = [ 3; 1; 3; 2; 9; 3 ] in
+  [
+    Alcotest.test_case "a correlated equality becomes a hoisted probe, any policy"
+      `Quick (fun () ->
+        List.iter
+          (fun policy ->
+            let p =
+              P.plan ~policy ~bound:[ "c" ] ~gens:[ const ~est:6 "g" grants ]
+                ~conds:correlated ()
+            in
+            checks "shape" "probe(g@run)" (P.describe p);
+            checkb "explain says built once per run" true
+              (contains (P.explain p) "hash probe g (built once per run, est 6)");
+            checkb "batchable" true (P.batchable p))
+          [ `Force; `Cost ]);
+    Alcotest.test_case "a segment reading an enclosing variable stays a filter" `Quick
+      (fun () ->
+        (* the [g in c.grant] shape: the segment differs per [c] *)
+        let gens = [ gen ~deps:[ "c" ] "g" (fun env -> [ lookup env "c"; 7 ]) ] in
+        List.iter
+          (fun policy ->
+            let p = P.plan ~policy ~bound:[ "c" ] ~gens ~conds:correlated () in
+            checks "shape" "scan(g/1)" (P.describe p))
+          [ `Force; `Cost ]);
+    Alcotest.test_case "the hoisted segment absorbs independent feeders only" `Quick
+      (fun () ->
+        (* [x] reads [c], so it stays a scan; [d.r] reads nothing
+           outside itself and becomes the hoisted segment *)
+        let gens =
+          [
+            gen ~deps:[ "c" ] "x" (fun env -> [ lookup env "c" ]);
+            const "d" [ 10; 20 ];
+            gen ~deps:[ "d" ] "r" (fun env -> [ lookup env "d" + 1; lookup env "d" + 3 ]);
+          ]
+        in
+        let conds =
+          [ eq ~left:[ "c" ] ~lkeys:(key1 "c") ~right:[ "r" ]
+              ~rkeys:(fun env -> P.Key.of_atom (Atom.Int (lookup env "r" mod 10))) ]
+        in
+        let p = P.plan ~bound:[ "c" ] ~gens ~conds () in
+        checks "shape" "scan(x) probe(d.r@run)" (P.describe p);
+        let run = P.Run.create () in
+        List.iter
+          (fun c ->
+            let env = [ ("c", c) ] in
+            let got, _ = run_plan ~run ~env p in
+            checkb "same bindings as naive" true (got = run_naive ~env gens conds))
+          [ 1; 3; 5 ]);
+    Alcotest.test_case "one handle serves every enclosing binding" `Quick (fun () ->
+        let gens = [ const "g" grants ] in
+        let p = P.plan ~bound:[ "c" ] ~gens ~conds:correlated () in
+        let run = P.Run.create () in
+        List.iter
+          (fun c ->
+            let env = [ ("c", c) ] in
+            let got, ticks = run_plan ~run ~env p in
+            let expected = run_naive ~env gens correlated in
+            checkb (Printf.sprintf "c=%d: same bindings as naive" c) true (got = expected);
+            (* one tick per probe hit, as before the hoist *)
+            checki "ticks" (List.length expected) ticks)
+          [ 3; 1; 4; 9; 3 ]);
+    Alcotest.test_case "the table is built once per run, at the first probe" `Quick
+      (fun () ->
+        let p = P.plan ~bound:[ "c" ] ~gens:[ const "g" grants ] ~conds:correlated () in
+        let obs = Clip_obs.Counters.create () in
+        let run = P.Run.create () in
+        List.iter (fun c -> ignore (run_plan ~obs ~run ~env:[ ("c", c) ] p)) [ 1; 2; 3 ];
+        checki "one build for three probes" 1 obs.Clip_obs.Counters.hash_join_builds;
+        checki "three probes" 3 obs.Clip_obs.Counters.hash_join_probes;
+        ignore (run_plan ~obs ~env:[ ("c", 3) ] p);
+        checki "a fresh handle builds again" 2 obs.Clip_obs.Counters.hash_join_builds);
+    Alcotest.test_case "nothing is built when the stage is never reached" `Quick
+      (fun () ->
+        let gens = [ const "x" []; const "g" grants ] in
+        let p = P.plan ~bound:[ "c" ] ~gens ~conds:correlated () in
+        checks "shape" "scan(x) probe(g@run)" (P.describe p);
+        let obs = Clip_obs.Counters.create () in
+        ignore (run_plan ~obs ~env:[ ("c", 3) ] p);
+        checki "no build" 0 obs.Clip_obs.Counters.hash_join_builds);
+    Alcotest.test_case "the vectorized executor shares the run's table" `Quick
+      (fun () ->
+        let gens = [ const "x" [ 1; 2 ]; const "g" grants ] in
+        let p = P.plan ~bound:[ "c" ] ~gens ~conds:correlated () in
+        let obs = Clip_obs.Counters.create () in
+        let run = P.Run.create () in
+        List.iter
+          (fun c ->
+            let env = [ ("c", c) ] in
+            let acc = ref [] in
+            P.execute_batch ~obs ~run p ~tick:ignore ~env ~emit:(fun e -> acc := e :: !acc);
+            checkb "same bindings as naive" true
+              (List.rev !acc = run_naive ~env gens correlated))
+          [ 3; 2 ];
+        checki "one build" 1 obs.Clip_obs.Counters.hash_join_builds);
+    Alcotest.test_case "a hoisted probe is not a revisit" `Quick (fun () ->
+        let p = P.plan ~bound:[ "c" ] ~gens:[ const "g" grants ] ~conds:correlated () in
+        checkb "hoisted" false (P.revisit_prone p));
+  ]
 
 let planner_tests =
   [
@@ -351,6 +460,38 @@ let docidx_tests =
                | None -> Alcotest.fail "child element missing from doc")
             | Node.Text _ -> ())
           e.Node.children);
+    Alcotest.test_case "id_of and find_id agree on dense and sparse documents"
+      `Quick (fun () ->
+        let agree doc =
+          for id = 0 to Doc.length doc - 1 do
+            match Doc.to_node doc id with
+            | Node.Element e as n ->
+              (* a shared element maps to one of its occurrences *)
+              let i = Doc.find_id doc e in
+              checkb "find_id" true (i >= 0 && Doc.to_node doc i == n);
+              checkb "id_of" true (Doc.id_of doc e = Some i)
+            | Node.Text _ -> ()
+          done;
+          let foreign = match Node.elem "f" [] with Node.Element e -> e | _ -> assert false in
+          checki "foreign find_id" (-1) (Doc.find_id doc foreign);
+          checkb "foreign id_of" true (Doc.id_of doc foreign = None)
+        in
+        (* a parsed document: contiguous allocation ids, dense map only *)
+        let parsed =
+          Doc.of_node (Clip_xml.Parser.parse_string "<r><a x=\"1\"><b>t</b></a><a/>u</r>")
+        in
+        checkb "dense" true (Array.length parsed.Doc.elem_map > 0);
+        checki "no hashtable" 0 (Hashtbl.length parsed.Doc.by_elem);
+        agree parsed;
+        (* widely spaced builds: the id range dwarfs the element count *)
+        let early = Node.elem "a" [] in
+        for _ = 1 to 1000 do
+          ignore (Node.elem "junk" [])
+        done;
+        let late = Node.elem "b" [ Node.text (Atom.Int 1) ] in
+        let sparse = Doc.of_node (Node.elem "r" [ early; late; early ]) in
+        checki "sparse" 0 (Array.length sparse.Doc.elem_map);
+        agree sparse);
     Alcotest.test_case "rebuild reconstructs the tree structurally" `Quick
       (fun () ->
         let n = wide 7 "a" in
@@ -619,11 +760,6 @@ let auto_steps_tests =
 
 module C = Clip_obs.Counters
 
-let contains hay needle =
-  let n = String.length needle and m = String.length hay in
-  let rec go i = i + n <= m && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
-
 (* Counters of one run on a warm session: the warm-up run outside the
    sink pays compile/plan once, so the measured run's work counters
    describe execution alone and are deterministic. *)
@@ -884,6 +1020,7 @@ let () =
   Alcotest.run "plan"
     [
       ("planner", planner_tests);
+      ("hoist", hoist_tests);
       ("cost", cost_tests);
       ("keys", key_tests);
       ("index", index_tests);

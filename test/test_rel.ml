@@ -242,6 +242,72 @@ let sql_tests =
           (String.length e1 > 12 && String.equal (String.sub e1 0 12) "backend: rel"));
   ]
 
+let contains hay needle =
+  let n = String.length needle and m = String.length hay in
+  let rec go i = i + n <= m && (String.equal (String.sub hay i n) needle || go (i + 1)) in
+  go 0
+
+(* The child rule's correlated join is a hoisted probe: its table is
+   built once per run, not once per company, so evaluation work grows
+   linearly with the instance. Budget steps are deterministic, so the
+   guard needs no timing. *)
+let scaling_tests =
+  let sizes = [ 100; 200; 400 ] in
+  let sources = List.map (fun n -> (n, grants_instance n)) sizes in
+  [
+    Alcotest.test_case "the correlated join scales linearly on every backend" `Quick
+      (fun () ->
+        let expected =
+          List.map
+            (fun (n, src) -> (n, Engine.run ~backend:`Tgd ~plan:`Naive grants_mapping src))
+            sources
+        in
+        List.iter
+          (fun (backend, bname) ->
+            List.iter
+              (fun (plan, pname) ->
+                let steps =
+                  List.map
+                    (fun (n, src) ->
+                      let steps_out = ref 0 in
+                      let out = Engine.run ~backend ~plan ~steps_out grants_mapping src in
+                      checkb
+                        (Printf.sprintf "%s/%s at %d: same output as naive" bname pname n)
+                        true
+                        (Node.equal (List.assoc n expected) out);
+                      !steps_out)
+                    sources
+                in
+                let rec doubling = function
+                  | a :: (b :: _ as rest) ->
+                    checkb
+                      (Printf.sprintf "%s/%s: %d steps then %d at twice the size" bname
+                         pname a b)
+                      true
+                      (float_of_int b <= 2.5 *. float_of_int a);
+                    doubling rest
+                  | [ _ ] | [] -> ()
+                in
+                doubling steps)
+              [ (`Indexed, "indexed"); (`Auto, "auto") ])
+          [ (`Tgd, "tgd"); (`Rel, "rel"); (`Xquery, "xquery") ]);
+    Alcotest.test_case "explain shows the hoisted probe and no tag index" `Quick
+      (fun () ->
+        let source = grants_instance 100 in
+        let tgd = Engine.explain ~backend:`Tgd grants_mapping source in
+        checkb "tgd strategy" true
+          (contains tgd
+             "strategy: physical plans, cost-based joins; tag index off (straight-line \
+              plan, no element revisits)\n");
+        List.iter
+          (fun backend ->
+            let e = Engine.explain ~backend grants_mapping source in
+            checkb "hoisted probe" true
+              (contains e "stage 0: hash probe g (built once per run, est ");
+            checkb "plan" true (contains e "plan: probe(g@run)"))
+          [ `Tgd; `Rel; `Xquery ]);
+  ]
+
 let () =
   Alcotest.run "rel"
     [
@@ -249,4 +315,5 @@ let () =
       ("differential", differential_tests);
       ("errors", error_tests);
       ("sql", sql_tests);
+      ("scaling", scaling_tests);
     ]
