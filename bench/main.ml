@@ -15,6 +15,12 @@ module S = Clip_scenarios
 module Node = Clip_xml.Node
 module Engine = Clip_core.Engine
 
+(* A run's value; a failed run aborts the harness with its
+   diagnostics. *)
+let get_ok = function
+  | Ok v -> v
+  | Error ds -> failwith (Clip_diag.render_list ds)
+
 let rule title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
@@ -25,8 +31,9 @@ let subrule title = Printf.printf "\n--- %s\n" title
 let figure_experiment (sc : S.Figures.t) () =
   rule (Printf.sprintf "%s — %s" sc.name sc.title);
   let out =
-    Engine.run ~minimum_cardinality:sc.minimum_cardinality sc.mapping
-      S.Deptdb.instance
+    get_ok
+      (Engine.run_result ~minimum_cardinality:sc.minimum_cardinality sc.mapping
+         S.Deptdb.instance)
   in
   print_endline (Clip_xml.Printer.to_tree_string out);
   (match sc.expected with
@@ -42,7 +49,7 @@ let figure_experiment (sc : S.Figures.t) () =
      Printf.printf "\npaper prints no instance; measured %d target nodes\n"
        (Node.size out));
   if sc.minimum_cardinality then begin
-    let out' = Engine.run ~backend:`Xquery sc.mapping S.Deptdb.instance in
+    let out' = get_ok (Engine.run_result ~backend:`Xquery sc.mapping S.Deptdb.instance) in
     Printf.printf "generated-XQuery backend agrees: %b\n" (Node.equal out out')
   end
 
@@ -52,7 +59,7 @@ let fig1_experiment () =
   rule "fig1 — the motivating example (Sec. I): Clio's defective output";
   let baseline = Clip_clio.Generate.generate S.Figures.fig1_values in
   let out =
-    Clip_tgd.Eval.run ~source:S.Deptdb.instance ~target_root:"target" baseline
+    get_ok (Clip_tgd.Eval.run_result ~source:S.Deptdb.instance ~target_root:"target" baseline)
   in
   print_endline (Clip_xml.Printer.to_tree_string out);
   Printf.printf
@@ -63,7 +70,7 @@ let fig1_experiment () =
   subrule "the Sec. V-B extension repairs it";
   let repaired = Clip_clio.Generate.generate ~extension:true S.Figures.fig1_values in
   let out =
-    Clip_tgd.Eval.run ~source:S.Deptdb.instance ~target_root:"target" repaired
+    get_ok (Clip_tgd.Eval.run_result ~source:S.Deptdb.instance ~target_root:"target" repaired)
   in
   print_endline (Clip_xml.Printer.to_tree_string out);
   Printf.printf "\nmatches the Sec. I desired output: %b\n"
@@ -182,24 +189,24 @@ let ablation_experiment () =
   rule "Ablations — the design choices DESIGN.md calls out";
   subrule "minimum cardinality (fig3): departments produced";
   Printf.printf "  with the principle   : %d department(s)\n"
-    (Node.count_elements (Engine.run S.Figures.fig3.mapping S.Deptdb.instance)
+    (Node.count_elements (get_ok (Engine.run_result S.Figures.fig3.mapping S.Deptdb.instance))
        "department");
   Printf.printf "  universal solution   : %d department(s)\n"
     (Node.count_elements
-       (Engine.run ~minimum_cardinality:false S.Figures.fig3.mapping S.Deptdb.instance)
+       (get_ok (Engine.run_result ~minimum_cardinality:false S.Figures.fig3.mapping S.Deptdb.instance))
        "department");
   subrule "context arcs (fig4): employee placement";
   Printf.printf "  with the arc         : %d employee(s) total\n"
-    (Node.count_elements (Engine.run S.Figures.fig4.mapping S.Deptdb.instance) "employee");
+    (Node.count_elements (get_ok (Engine.run_result S.Figures.fig4.mapping S.Deptdb.instance)) "employee");
   Printf.printf "  without the arc      : %d employee(s) total (repeated everywhere)\n"
     (Node.count_elements
-       (Engine.run S.Figures.fig4_nocontext.mapping S.Deptdb.instance)
+       (get_ok (Engine.run_result S.Figures.fig4_nocontext.mapping S.Deptdb.instance))
        "employee");
   subrule "join vs Cartesian (fig6): pairs produced";
   List.iter
     (fun ((label : string), (sc : S.Figures.t)) ->
       Printf.printf "  %-20s : %d pair(s)\n" label
-        (Node.count_elements (Engine.run sc.mapping S.Deptdb.instance) "project-emp"))
+        (Node.count_elements (get_ok (Engine.run_result sc.mapping S.Deptdb.instance)) "project-emp"))
     [
       ("join in a CPT", S.Figures.fig6);
       ("per-dept Cartesian", S.Figures.fig6_cartesian);
@@ -227,9 +234,9 @@ let scaling_experiment () =
   List.iter
     (fun depts ->
       let doc = S.Deptdb.synthetic_instance ~depts ~projs:5 ~emps:10 in
-      let out, t_tgd = time_once (fun () -> Engine.run S.Figures.fig5.mapping doc) in
+      let out, t_tgd = time_once (fun () -> get_ok (Engine.run_result S.Figures.fig5.mapping doc)) in
       let _, t_xq =
-        time_once (fun () -> Engine.run ~backend:`Xquery S.Figures.fig5.mapping doc)
+        time_once (fun () -> get_ok (Engine.run_result ~backend:`Xquery S.Figures.fig5.mapping doc))
       in
       Printf.printf "%-8d | %-10d | %9.3f ms | %11.3f ms | %d\n" depts
         (Node.size doc) (t_tgd *. 1000.) (t_xq *. 1000.) (Node.size out))
@@ -240,7 +247,7 @@ let scaling_experiment () =
   List.iter
     (fun depts ->
       let doc = S.Deptdb.synthetic_instance ~depts ~projs:5 ~emps:10 in
-      let _, t = time_once (fun () -> Engine.run S.Figures.fig7.mapping doc) in
+      let _, t = time_once (fun () -> get_ok (Engine.run_result S.Figures.fig7.mapping doc)) in
       Printf.printf "%-8d | %-10d | %9.3f ms\n" depts (Node.size doc) (t *. 1000.))
     [ 10; 50; 100; 500 ]
 
@@ -436,17 +443,18 @@ let measure_sessions ~reps ~scales =
          have the most to amortise. *)
       let session = Engine.Session.create doc in
       let cold =
-        Engine.Session.run ~backend:`Xquery session scenario.S.Figures.mapping
+        get_ok (Engine.Session.run_result ~backend:`Xquery session scenario.S.Figures.mapping)
       in
       let warm = ref cold in
       (* cold = fresh session + first run (full analysis), every call *)
       let cold_f () =
-        Engine.Session.run ~backend:`Xquery (Engine.Session.create doc)
-          scenario.S.Figures.mapping
+        get_ok
+          (Engine.Session.run_result ~backend:`Xquery (Engine.Session.create doc)
+             scenario.S.Figures.mapping)
       in
       let warm_f () =
         warm :=
-          Engine.Session.run ~backend:`Xquery session scenario.S.Figures.mapping;
+          get_ok (Engine.Session.run_result ~backend:`Xquery session scenario.S.Figures.mapping);
         !warm
       in
       let tc, tw =
@@ -1046,7 +1054,7 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
       (* The EXPLAIN claim for the same (mapping, backend, document):
          below the planning threshold [`Auto] runs the direct
          interpreter, and its work counters must say so too. *)
-      let txt = Engine.explain ~backend ~plan:`Auto sc.mapping doc in
+      let txt = get_ok (Engine.explain_result ~backend ~plan:`Auto sc.mapping doc) in
       let needle = "direct interpreter" in
       let n = String.length needle and l = String.length txt in
       let rec has i =
@@ -1145,10 +1153,11 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
   subrule "trace spans (one cold fig6 run, xquery backend)";
   let tracer = Clip_obs.Trace.create ~now:Unix.gettimeofday () in
   ignore
-    (Engine.Session.run
-       ~ctx:(Clip_run.create ~tracer ())
-       ~backend:`Xquery
-       (Engine.Session.create S.Deptdb.instance) S.Figures.fig6.mapping);
+    (get_ok
+       (Engine.Session.run_result
+          ~ctx:(Clip_run.create ~tracer ())
+          ~backend:`Xquery
+          (Engine.Session.create S.Deptdb.instance) S.Figures.fig6.mapping));
   print_string (Clip_obs.Trace.render tracer);
   subrule "disabled-path overhead (per-hook cost x hook count, bounded)";
   (* The true no-instrumentation build no longer exists in this tree,
@@ -1203,7 +1212,7 @@ let obs_experiment ?(smoke = false) ?(check = false) ?(metrics_json = false) () 
       (fun ((name : string), (sc : S.Figures.t), (backend : Engine.backend)) ->
         let session = Engine.Session.create oh_doc in
         let run ?ctx () =
-          Engine.Session.run ?ctx ~backend ~plan:`Auto session sc.mapping
+          get_ok (Engine.Session.run_result ?ctx ~backend ~plan:`Auto session sc.mapping)
         in
         ignore (run ());
         let hooks =
@@ -1348,8 +1357,9 @@ let par_experiment ?(smoke = false) ?(check = false) () =
   let eval (sc : S.Figures.t) ~backend ~plan ~obs doc =
     let ctx = Clip_run.create ?counters:obs () in
     Clip_xml.Printer.to_pretty_string
-      (Engine.run ~ctx ~backend
-         ~minimum_cardinality:sc.minimum_cardinality ~plan sc.mapping doc)
+      (get_ok
+         (Engine.run_result ~ctx ~backend
+            ~minimum_cardinality:sc.minimum_cardinality ~plan sc.mapping doc))
   in
   (* A batch where every document is different, so an ordering or
      task-mixup bug cannot hide behind identical outputs. *)
@@ -1532,9 +1542,10 @@ let par_experiment ?(smoke = false) ?(check = false) () =
   let run_sharded ~mode ~jobs ~obs () =
     let ctx = Clip_run.create ?counters:obs () in
     Clip_xml.Printer.to_pretty_string
-      (Engine.run ~ctx ~backend:`Tgd
-         ~minimum_cardinality:shard_sc.minimum_cardinality ~mode
-         ~shard_bytes:shard_budget ~jobs shard_sc.mapping shard_doc)
+      (get_ok
+         (Engine.run_result ~ctx ~backend:`Tgd
+            ~minimum_cardinality:shard_sc.minimum_cardinality ~mode
+            ~shard_bytes:shard_budget ~jobs shard_sc.mapping shard_doc))
   in
   let c_whole = Clip_obs.Counters.create () in
   let whole_out = run_sharded ~mode:`Whole ~jobs:1 ~obs:(Some c_whole) () in
@@ -1620,9 +1631,10 @@ let par_experiment ?(smoke = false) ?(check = false) () =
     | Error _ -> -1
     | Ok doc ->
       let out =
-        Engine.run ~backend:`Tgd
-          ~minimum_cardinality:shard_sc.minimum_cardinality shard_sc.mapping
-          doc
+        get_ok
+          (Engine.run_result ~backend:`Tgd
+             ~minimum_cardinality:shard_sc.minimum_cardinality shard_sc.mapping
+             doc)
       in
       let peak = live_now () - mem_baseline in
       ignore (Sys.opaque_identity (doc, out));
@@ -1647,9 +1659,10 @@ let par_experiment ?(smoke = false) ?(check = false) () =
         (peak, ok)
       | Ok (Clip_shard.Shard shard) ->
         let out =
-          Engine.run ~backend:`Tgd
-            ~minimum_cardinality:shard_sc.minimum_cardinality shard_sc.mapping
-            shard
+          get_ok
+            (Engine.run_result ~backend:`Tgd
+               ~minimum_cardinality:shard_sc.minimum_cardinality shard_sc.mapping
+               shard)
         in
         Clip_shard.merge_into merger out;
         pump (max peak (live_now () - mem_baseline))
@@ -1892,7 +1905,7 @@ let compose_experiment ?(smoke = false) ?(check = false) () =
   let mc = sc.minimum_cardinality in
   let run_fused () =
     Clip_xml.Printer.to_pretty_string
-      (Engine.run ~minimum_cardinality:mc fused_m doc)
+      (get_ok (Engine.run_result ~minimum_cardinality:mc fused_m doc))
   in
   let run_staged () =
     match Engine.run_staged_result ~minimum_cardinality:mc chain3 doc with
@@ -2042,14 +2055,14 @@ mapping {
   let identity_rows =
     List.concat_map
       (fun (name, m, doc) ->
-        let expected = Engine.run ~backend:`Tgd m doc in
+        let expected = get_ok (Engine.run_result ~backend:`Tgd m doc) in
         List.concat_map
           (fun (plan, pname) ->
             List.map
               (fun (repr, rname) ->
                 let identical =
                   Clip_xml.Node.equal expected
-                    (Engine.run ~backend:`Rel ~plan ~repr m doc)
+                    (get_ok (Engine.run_result ~backend:`Rel ~plan ~repr m doc))
                 in
                 Printf.printf "%-18s | %-7s | %-8s | identical %b\n" name
                   pname rname identical;
@@ -2076,7 +2089,7 @@ mapping {
   let doc = grants_instance scale in
   let run backend plan () =
     Clip_xml.Printer.to_pretty_string
-      (Engine.run ~backend ~plan grants_mapping doc)
+      (get_ok (Engine.run_result ~backend ~plan grants_mapping doc))
   in
   let join_identical =
     String.equal (run `Tgd `Naive ()) (run `Rel `Auto ())
@@ -2168,9 +2181,9 @@ let perf_experiment () =
       (fun (sc : S.Figures.t) ->
         [
           (sc.name ^ "/compile", fun () -> ignore (Clip_core.Compile.to_tgd sc.mapping));
-          (sc.name ^ "/run-tgd", fun () -> ignore (Engine.run sc.mapping mid));
+          (sc.name ^ "/run-tgd", fun () -> ignore (get_ok (Engine.run_result sc.mapping mid)));
           ( sc.name ^ "/run-xquery",
-            fun () -> ignore (Engine.run ~backend:`Xquery sc.mapping mid) );
+            fun () -> ignore (get_ok (Engine.run_result ~backend:`Xquery sc.mapping mid)) );
         ])
       [ S.Figures.fig3; S.Figures.fig5; S.Figures.fig6; S.Figures.fig7; S.Figures.fig9 ]
   in
@@ -2196,10 +2209,10 @@ let perf_experiment () =
           ignore (Clip_schema.Validate.check ~check_refs:false source_schema mid) );
       ( "fig5/run-xquery-text",
         let fig5 = S.Figures.fig5.mapping in
-        fun () -> ignore (Engine.run ~backend:`Xquery_text fig5 mid) );
+        fun () -> ignore (get_ok (Engine.run_result ~backend:`Xquery_text fig5 mid)) );
       ( "fig5/run-traced",
         let fig5 = S.Figures.fig5.mapping in
-        fun () -> ignore (Engine.run_traced fig5 mid) );
+        fun () -> ignore (get_ok (Engine.run_traced_result fig5 mid)) );
       ( "matcher/suggest",
         let tgt = S.Deptdb.target_dp in
         fun () -> ignore (Clip_clio.Matcher.suggest source_schema tgt) );

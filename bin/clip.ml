@@ -331,8 +331,14 @@ let run_cmd =
             bookkeeping, not the measured evaluation, so it must not
             inflate the run's counters (or spans). *)
          let lineage_ctx = Clip_run.create () in
-         let _, entries =
-           Clip_core.Engine.run_traced ~ctx:lineage_ctx ~plan m source
+         let entries =
+           match
+             Clip_core.Engine.run_traced_result ~ctx:lineage_ctx ~plan m source
+           with
+           | Ok (_, entries) -> entries
+           | Error ds ->
+             report ds;
+             []
          in
          Buffer.add_char b '\n';
          List.iter

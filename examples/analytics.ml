@@ -104,13 +104,21 @@ let roster =
         (p "roster.project.member.@name");
     ]
 
+(* Every run reports failures as [CLIP-*] diagnostics; an example has
+   no recovery to offer, so it prints them and stops. *)
+let ok_or_exit = function
+  | Ok v -> v
+  | Error ds ->
+    prerr_endline (Clip_diag.render_list ds);
+    exit 1
+
 let () =
   (* A synthetic instance: 6 departments, 5 projects and 8 employees each. *)
   let instance = S.Deptdb.synthetic_instance ~depts:6 ~projs:5 ~emps:8 in
 
   print_endline "== dashboard mapping (aggregates, Fig. 9 style) ==";
   print_endline (Clip_core.Engine.tgd_text ~unicode:false dashboard);
-  let out = Clip_core.Engine.run dashboard instance in
+  let out = ok_or_exit (Clip_core.Engine.run_result dashboard instance) in
   print_endline "\n== dashboard ==";
   print_endline (Clip_xml.Printer.to_tree_string out);
   (match Clip_schema.Validate.check dashboard_target out with
@@ -119,7 +127,7 @@ let () =
      List.iter (fun v -> print_endline (Clip_schema.Validate.violation_to_string v)) vs);
 
   print_endline "\n== roster mapping (grouping + join, Fig. 7 style) ==";
-  let out = Clip_core.Engine.run roster instance in
+  let out = ok_or_exit (Clip_core.Engine.run_result roster instance) in
   let root = Clip_xml.Node.as_element out in
   Printf.printf "projects: %d\n" (List.length (Clip_xml.Node.children_named root "project"));
   List.iter

@@ -64,6 +64,14 @@ let instance =
         </order>
       </store>|}
 
+(* Every run reports failures as [CLIP-*] diagnostics; an example has
+   no recovery to offer, so it prints them and stops. *)
+let ok_or_exit = function
+  | Ok v -> v
+  | Error ds ->
+    prerr_endline (Clip_diag.render_list ds);
+    exit 1
+
 let () =
   let source = Clip_schema.Xsd.of_string source_xsd in
   let target = Clip_schema.Dsl.parse target_dsl in
@@ -85,7 +93,9 @@ let () =
   print_endline "\n== 4. as an explicit Clip mapping, executed ==";
   let mapping = Clip_clio.Generate.to_clip couplings forest in
   print_string (Clip_core.Dsl.to_string mapping);
-  let out, trace = Clip_core.Engine.run_traced mapping instance in
+  let out, trace =
+    ok_or_exit (Clip_core.Engine.run_traced_result mapping instance)
+  in
   print_endline "";
   print_endline (Clip_xml.Printer.to_tree_string out);
   (match Clip_schema.Validate.check target out with

@@ -68,6 +68,14 @@ let target =
 
 let p s = Result.get_ok (Clip_schema.Path.of_string s)
 
+(* Every run reports failures as [CLIP-*] diagnostics; an example has
+   no recovery to offer, so it prints them and stops. *)
+let ok_or_exit = function
+  | Ok v -> v
+  | Error ds ->
+    prerr_endline (Clip_diag.render_list ds);
+    exit 1
+
 let () =
   let source = Rel.to_schema db in
   let instance = Rel.instance db rows in
@@ -93,7 +101,7 @@ let () =
   print_string (Clip_core.Dsl.to_string mapping);
 
   print_endline "\n== result ==";
-  let out = Clip_core.Engine.run mapping instance in
+  let out = ok_or_exit (Clip_core.Engine.run_result mapping instance) in
   print_endline (Clip_xml.Printer.to_tree_string out);
 
   (* The target conforms to its schema. *)

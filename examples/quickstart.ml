@@ -52,6 +52,14 @@ let instance_text =
   </library>
   |}
 
+(* Every run reports failures as [CLIP-*] diagnostics; an example has
+   no recovery to offer, so it prints them and stops. *)
+let ok_or_exit = function
+  | Ok v -> v
+  | Error ds ->
+    prerr_endline (Clip_diag.render_list ds);
+    exit 1
+
 let () =
   let mapping = Clip_core.Dsl.parse mapping_text in
 
@@ -72,9 +80,11 @@ let () =
 
   let source = Clip_xml.Parser.parse_string instance_text in
   print_endline "\n== result (direct tgd engine) ==";
-  let out = Clip_core.Engine.run mapping source in
+  let out = ok_or_exit (Clip_core.Engine.run_result mapping source) in
   print_endline (Clip_xml.Printer.to_tree_string out);
 
   (* Both backends implement the same semantics. *)
-  let out' = Clip_core.Engine.run ~backend:`Xquery mapping source in
+  let out' =
+    ok_or_exit (Clip_core.Engine.run_result ~backend:`Xquery mapping source)
+  in
   Printf.printf "\nbackends agree: %b\n" (Clip_xml.Node.equal out out')

@@ -147,9 +147,9 @@ let try_run ~instance (m : Mapping.t) =
                  (fun (i : Validity.issue) -> i.severity = Validity.Error)
                  issues))))
   | _ ->
-    (match Engine.run m instance with
-     | output -> Ok output
-     | exception e -> Error (`Failed (Printexc.to_string e)))
+    (match Engine.run_result m instance with
+     | Ok output -> Ok output
+     | Error ds -> Error (`Failed (String.trim (Clip_diag.render_list ds))))
 
 let flexibility_unguarded ~instance (m : Mapping.t) =
   let forest = Generate.forest ~extension:true m in

@@ -48,14 +48,20 @@ type session = {
   stgd : Clip_tgd.Eval.Session.t;
   sxq : Clip_xquery.Eval.Session.t;
   srel : Clip_rel.Eval.Session.t;
-  scompiled : (Mapping.t, Clip_tgd.Tgd.t) Hashtbl.t;
-  stranslated : (string * Clip_tgd.Tgd.t, Clip_xquery.Ast.expr) Hashtbl.t;
-  (* One-slot physical-identity fast paths in front of the structural
-     tables: re-running the same mapping value skips the deep hash and
-     equality, which on small documents costs as much as the run. *)
-  mutable slast_tgd : (Mapping.t * Clip_tgd.Tgd.t) option;
-  mutable slast_xq : (string * Clip_tgd.Tgd.t * Clip_xquery.Ast.expr) option;
+  scompiled : (Mapping.t, Clip_tgd.Tgd.t) cache;
+  stranslated : (string * Clip_tgd.Tgd.t, Clip_xquery.Ast.expr) cache;
 }
+
+(* A compile cache: a one-slot physical-identity fast path in front of
+   a structural table. Re-running the same mapping value skips the
+   deep hash and equality, which on small documents costs as much as
+   the run. *)
+and ('k, 'v) cache = {
+  table : ('k, 'v) Hashtbl.t;
+  mutable last : ('k * 'v) option;
+}
+
+let cache () = { table = Hashtbl.create 8; last = None }
 
 let create_session source =
   {
@@ -63,109 +69,59 @@ let create_session source =
     stgd = Clip_tgd.Eval.Session.create source;
     sxq = Clip_xquery.Eval.Session.create source;
     srel = Clip_rel.Eval.Session.create source;
-    scompiled = Hashtbl.create 8;
-    stranslated = Hashtbl.create 8;
-    slast_tgd = None;
-    slast_xq = None;
+    scompiled = cache ();
+    stranslated = cache ();
   }
 
-(* Population is fault-safe by construction: the table gains its
-   entry only after [compute] returns, so a failure mid-population
-   (e.g. an injected [session.populate] fault) leaves the cache
-   exactly as it was — never a poisoned entry. *)
-let session_memo ?obs tbl key compute =
-  match Hashtbl.find_opt tbl key with
-  | Some v ->
+(* [memo ~same c key compute] — the cached value for [key], or
+   [compute ()]'s. [same] decides a fast-path hit on the last key.
+   Population is fault-safe by construction: the table gains its entry
+   only after [compute] succeeds, so a failure mid-population (e.g. an
+   injected [session.populate] fault) leaves the cache exactly as it
+   was — never a poisoned entry. *)
+let memo ?obs ~same c key compute =
+  match c.last with
+  | Some (k, v) when same k key ->
     Clip_obs.session_hit obs;
-    v
-  | None ->
-    Clip_fault.hit ~obs Clip_fault.Site.session_populate;
-    let v = compute () in
-    Hashtbl.add tbl key v;
-    v
+    Ok v
+  | _ -> (
+      match Hashtbl.find_opt c.table key with
+      | Some v ->
+        Clip_obs.session_hit obs;
+        c.last <- Some (key, v);
+        Ok v
+      | None -> (
+          match
+            Clip_diag.guard (fun () ->
+                Clip_fault.hit ~obs Clip_fault.Site.session_populate)
+          with
+          | Error _ as e -> e
+          | Ok () -> (
+              match compute () with
+              | Error _ as e -> e
+              | Ok v ->
+                Hashtbl.add c.table key v;
+                c.last <- Some (key, v);
+                Ok v)))
 
 let session_tgd ?obs s m =
-  match s.slast_tgd with
-  | Some (m', tgd) when m' == m ->
-    Clip_obs.session_hit obs;
-    tgd
-  | _ ->
-    let tgd = session_memo ?obs s.scompiled m (fun () -> Compile.to_tgd m) in
-    s.slast_tgd <- Some (m, tgd);
-    tgd
-
-let session_tgd_result ?obs s m =
-  match s.slast_tgd with
-  | Some (m', tgd) when m' == m ->
-    Clip_obs.session_hit obs;
-    Ok tgd
-  | _ ->
-    (match Hashtbl.find_opt s.scompiled m with
-     | Some tgd ->
-       Clip_obs.session_hit obs;
-       s.slast_tgd <- Some (m, tgd);
-       Ok tgd
-     | None ->
-       (match
-          Clip_diag.guard (fun () ->
-              Clip_fault.hit ~obs Clip_fault.Site.session_populate)
-        with
-        | Error _ as e -> e
-        | Ok () ->
-          (match Compile.to_tgd_result m with
-           | Error _ as e -> e
-           | Ok tgd ->
-             Hashtbl.add s.scompiled m tgd;
-             s.slast_tgd <- Some (m, tgd);
-             Ok tgd)))
+  memo ?obs ~same:( == ) s.scompiled m (fun () -> Compile.to_tgd_result m)
 
 let session_xquery ?obs s ~target_root tgd =
-  match s.slast_xq with
-  | Some (r, tgd', q) when r = target_root && tgd' == tgd ->
-    Clip_obs.session_hit obs;
-    q
-  | _ ->
-    let q =
-      session_memo ?obs s.stranslated (target_root, tgd) (fun () ->
-        To_xquery.translate ~target_root tgd)
-    in
-    s.slast_xq <- Some (target_root, tgd, q);
-    q
-
-let session_xquery_result ?obs s ~target_root tgd =
-  match s.slast_xq with
-  | Some (r, tgd', q) when r = target_root && tgd' == tgd ->
-    Clip_obs.session_hit obs;
-    Ok q
-  | _ ->
-    (match Hashtbl.find_opt s.stranslated (target_root, tgd) with
-     | Some q ->
-       Clip_obs.session_hit obs;
-       s.slast_xq <- Some (target_root, tgd, q);
-       Ok q
-     | None ->
-       (match
-          Clip_diag.guard (fun () ->
-              Clip_fault.hit ~obs Clip_fault.Site.session_populate)
-        with
-        | Error _ as e -> e
-        | Ok () ->
-          (match To_xquery.translate_result ~target_root tgd with
-           | Error _ as e -> e
-           | Ok q ->
-             Hashtbl.add s.stranslated (target_root, tgd) q;
-             s.slast_xq <- Some (target_root, tgd, q);
-             Ok q)))
+  memo ?obs
+    ~same:(fun (r, t) (r', t') -> r = r' && t == t')
+    s.stranslated (target_root, tgd)
+    (fun () -> To_xquery.translate_result ~target_root tgd)
 
 (* --- The backend contract ---------------------------------------------- *)
 
 (* What every execution backend must provide, made explicit: a
    shard-ready compiled form ([query]), whole-document evaluation
    through the session caches, per-shard evaluation against fresh
-   backend state, and a static EXPLAIN. Dispatch everywhere below is a
-   lookup in {!backends} — a table of first-class modules — so a new
-   backend is one module plus one table row, not another arm in every
-   match. *)
+   backend state, and a static EXPLAIN. Every entry point reports
+   failures as diagnostics. Dispatch everywhere below is a lookup in
+   {!backends} — a table of first-class modules — so a new backend is
+   one module plus one table row, not another arm in every match. *)
 module type BACKEND = sig
   (* Whatever per-run artifact shard evaluation needs beyond the shard
      document itself (the compiled tgd, a translated query, a compiled
@@ -182,14 +138,6 @@ module type BACKEND = sig
      and the [session.populate] fault site); without — the streaming
      path, where no document-pinned session exists yet — it translates
      directly. Phase spans are recorded against [ctx]. *)
-  val prepare :
-    ?obs:Clip_obs.Counters.t ->
-    ctx:Clip_run.t ->
-    ?session:session ->
-    mapping:Mapping.t ->
-    Clip_tgd.Tgd.t ->
-    query
-
   val prepare_result :
     ?limits:Clip_diag.Limits.t ->
     ?obs:Clip_obs.Counters.t ->
@@ -201,20 +149,7 @@ module type BACKEND = sig
 
   (* Whole-document evaluation over the session's pinned source,
      reusing the session's backend state. Phase spans ("translate",
-     "parse", "execute") and counters flow through [ctx]. Raises the
-     backend's dynamic-error exceptions; [eval_result] reports them as
-     diagnostics instead. *)
-  val eval :
-    ctx:Clip_run.t ->
-    minimum_cardinality:bool ->
-    ?plan:Clip_plan.mode ->
-    ?repr:Clip_xml.Doc.repr ->
-    ?steps_out:int ref ->
-    session ->
-    Mapping.t ->
-    Clip_tgd.Tgd.t ->
-    Clip_xml.Node.t
-
+     "parse", "execute") and counters flow through [ctx]. *)
   val eval_result :
     ?limits:Clip_diag.Limits.t ->
     ctx:Clip_run.t ->
@@ -245,14 +180,21 @@ module type BACKEND = sig
     (Clip_xml.Node.t, Clip_diag.t list) result
 
   (* The static, deterministic plan renderer behind [clip explain]. *)
-  val explain :
+  val explain_result :
     ?obs:Clip_obs.Counters.t ->
     ?plan:Clip_plan.mode ->
     session ->
     Mapping.t ->
     Clip_tgd.Tgd.t ->
-    string
+    (string, Clip_diag.t list) result
 end
+
+(* The ablation switch exists only in the tgd engine. *)
+let no_ablation ~minimum_cardinality =
+  if not minimum_cardinality then
+    invalid_arg
+      "Engine.Session.run_result: the universal-solution ablation is only \
+       available on the tgd backend"
 
 module Tgd_backend : BACKEND = struct
   (* The tgd engine evaluates the compiled tgd directly; its
@@ -263,20 +205,9 @@ module Tgd_backend : BACKEND = struct
   let name = "tgd"
   let doc = "direct evaluation of the compiled tgd"
 
-  let prepare ?obs:_ ~ctx:_ ?session:_ ~mapping:(m : Mapping.t) tgd =
-    (m.target.root.name, tgd)
-
   let prepare_result ?limits:_ ?obs:_ ~ctx:_ ?session:_
       ~mapping:(m : Mapping.t) tgd =
     Ok (m.target.root.name, tgd)
-
-  let eval ~ctx ~minimum_cardinality ?plan ?repr ?steps_out s (m : Mapping.t)
-      tgd =
-    let obs = Clip_run.counters ctx in
-    Clip_run.span ctx "execute" (fun () ->
-      Clip_tgd.Eval.run ~minimum_cardinality ?plan ?repr
-        ~ctl:(Clip_run.control ctx) ~session:s.stgd ?steps_out ?obs
-        ~source:s.ssource ~target_root:m.target.root.name tgd)
 
   let eval_result ?limits ~ctx ~minimum_cardinality ?plan ?repr ?steps_out s
       (m : Mapping.t) tgd =
@@ -292,8 +223,9 @@ module Tgd_backend : BACKEND = struct
       ~session:(Clip_tgd.Eval.Session.create shard) ~steps_out ?obs
       ~source:shard ~target_root tgd
 
-  let explain ?obs:_ ?plan s (_m : Mapping.t) tgd =
-    Clip_tgd.Eval.explain ?plan ~session:s.stgd ~source:s.ssource tgd
+  let explain_result ?obs:_ ?plan s (_m : Mapping.t) tgd =
+    Clip_diag.guard (fun () ->
+        Clip_tgd.Eval.explain ?plan ~session:s.stgd ~source:s.ssource tgd)
 end
 
 (* The two XQuery backends differ only in the round-trip through the
@@ -311,29 +243,12 @@ end) : BACKEND = struct
   let name = C.name
   let doc = C.doc
 
-  let translated ?obs ~ctx ?session ~target_root tgd =
-    Clip_run.span ctx "translate" (fun () ->
-        match session with
-        | Some s -> session_xquery ?obs s ~target_root tgd
-        | None -> To_xquery.translate ~target_root tgd)
-
-  let reparse ~ctx q =
-    if not C.text then q
-    else
-      Clip_run.span ctx "parse" (fun () ->
-          Clip_xquery.Parser.parse_string
-            (Clip_xquery.Pretty.query_to_string q))
-
-  let prepare ?obs ~ctx ?session ~mapping:(m : Mapping.t) tgd =
-    reparse ~ctx
-      (translated ?obs ~ctx ?session ~target_root:m.target.root.name tgd)
-
   let prepare_result ?limits ?obs ~ctx ?session ~mapping:(m : Mapping.t) tgd =
     let target_root = m.target.root.name in
     match
       Clip_run.span ctx "translate" (fun () ->
           match session with
-          | Some s -> session_xquery_result ?obs s ~target_root tgd
+          | Some s -> session_xquery ?obs s ~target_root tgd
           | None -> To_xquery.translate_result ~target_root tgd)
     with
     | Error ds -> Error ds
@@ -344,27 +259,9 @@ end) : BACKEND = struct
             Clip_xquery.Parser.parse_string_result ?limits
               (Clip_xquery.Pretty.query_to_string q))
 
-  let eval ~ctx ~minimum_cardinality ?plan ?repr ?steps_out s (m : Mapping.t)
-      tgd =
-    if not minimum_cardinality then
-      invalid_arg
-        "Engine.Session.run: the universal-solution ablation is only \
-         available on the tgd backend";
-    let obs = Clip_run.counters ctx in
-    let query =
-      reparse ~ctx
-        (translated ?obs ~ctx ~session:s ~target_root:m.target.root.name tgd)
-    in
-    Clip_run.span ctx "execute" (fun () ->
-      Clip_xquery.Eval.run_document ?plan ?repr ~ctl:(Clip_run.control ctx)
-        ~session:s.sxq ?steps_out ?obs ~input:s.ssource query)
-
   let eval_result ?limits ~ctx ~minimum_cardinality ?plan ?repr ?steps_out s
       (m : Mapping.t) tgd =
-    if not minimum_cardinality then
-      invalid_arg
-        "Engine.Session.run_result: the universal-solution ablation is \
-         only available on the tgd backend";
+    no_ablation ~minimum_cardinality;
     let obs = Clip_run.counters ctx in
     match
       prepare_result ?limits ?obs ~ctx ~session:s ~mapping:m tgd
@@ -382,11 +279,13 @@ end) : BACKEND = struct
       ~session:(Clip_xquery.Eval.Session.create shard) ~steps_out ?obs
       ~input:shard query
 
-  let explain ?obs ?plan s (m : Mapping.t) tgd =
-    let query =
-      session_xquery ?obs s ~target_root:m.target.root.name tgd
-    in
-    Clip_xquery.Eval.explain ?plan ~session:s.sxq ~input:s.ssource query
+  let explain_result ?obs ?plan s (m : Mapping.t) tgd =
+    Result.bind
+      (session_xquery ?obs s ~target_root:m.target.root.name tgd)
+      (fun query ->
+        Clip_diag.guard (fun () ->
+            Clip_xquery.Eval.explain ?plan ~session:s.sxq ~input:s.ssource
+              query))
 end
 
 (* The relational backend: for mappings whose source is
@@ -402,35 +301,16 @@ module Rel_backend : BACKEND = struct
   let name = "rel"
   let doc = "columnar relational-algebra execution of relational-shaped sources"
 
-  let prepare ?obs:_ ~ctx ?session:_ ~mapping:(m : Mapping.t) tgd =
-    Clip_run.span ctx "translate" (fun () ->
-        Clip_rel.Program.compile ~source:m.source
-          ~target_root:m.target.root.name tgd)
+  let compile (m : Mapping.t) tgd =
+    Clip_rel.Program.compile_result ~source:m.source
+      ~target_root:m.target.root.name tgd
 
-  let prepare_result ?limits:_ ?obs:_ ~ctx ?session:_ ~mapping:(m : Mapping.t)
-      tgd =
-    Clip_run.span ctx "translate" (fun () ->
-        Clip_rel.Program.compile_result ~source:m.source
-          ~target_root:m.target.root.name tgd)
-
-  let eval ~ctx ~minimum_cardinality ?plan ?repr ?steps_out s (m : Mapping.t)
-      tgd =
-    if not minimum_cardinality then
-      invalid_arg
-        "Engine.Session.run: the universal-solution ablation is only \
-         available on the tgd backend";
-    let obs = Clip_run.counters ctx in
-    let query = prepare ?obs ~ctx ~session:s ~mapping:m tgd in
-    Clip_run.span ctx "execute" (fun () ->
-      Clip_rel.Eval.run ?plan ?repr ~ctl:(Clip_run.control ctx)
-        ~session:s.srel ?steps_out ?obs ~source:s.ssource query)
+  let prepare_result ?limits:_ ?obs:_ ~ctx ?session:_ ~mapping tgd =
+    Clip_run.span ctx "translate" (fun () -> compile mapping tgd)
 
   let eval_result ?limits ~ctx ~minimum_cardinality ?plan ?repr ?steps_out s
       (m : Mapping.t) tgd =
-    if not minimum_cardinality then
-      invalid_arg
-        "Engine.Session.run_result: the universal-solution ablation is \
-         only available on the tgd backend";
+    no_ablation ~minimum_cardinality;
     let obs = Clip_run.counters ctx in
     match prepare_result ?limits ?obs ~ctx ~session:s ~mapping:m tgd with
     | Error ds -> Error ds
@@ -446,12 +326,11 @@ module Rel_backend : BACKEND = struct
       ~session:(Clip_rel.Eval.Session.create shard) ~steps_out ?obs
       ~source:shard query
 
-  let explain ?obs:_ ?plan s (m : Mapping.t) tgd =
-    let query =
-      Clip_rel.Program.compile ~source:m.source
-        ~target_root:m.target.root.name tgd
-    in
-    Clip_rel.Eval.explain ?plan ~session:s.srel ~source:s.ssource query
+  let explain_result ?obs:_ ?plan s m tgd =
+    Result.bind (compile m tgd) (fun query ->
+        Clip_diag.guard (fun () ->
+            Clip_rel.Eval.explain ?plan ~session:s.srel ~source:s.ssource
+              query))
 end
 
 module Xquery_backend = Make_xquery (struct
@@ -543,37 +422,13 @@ module Session = struct
   let create = create_session
   let source s = s.ssource
 
-  let run ?ctx ?(backend = `Tgd) ?(minimum_cardinality = true) ?plan ?repr
-      ?steps_out ?(mode = `Whole) ?(shard_bytes = default_shard_bytes) ?jobs s
-      (m : Mapping.t) =
-    let ctx = match ctx with Some c -> c | None -> Clip_run.create () in
-    let obs = Clip_run.counters ctx in
-    let tgd = Clip_run.span ctx "compile" (fun () -> session_tgd ?obs s m) in
-    match backend_module backend with
-    | Backend (module B) -> (
-        match
-          decide ~mode ~minimum_cardinality ~shard_bytes m tgd s.ssource
-        with
-        | Clip_shard.Whole _ ->
-          B.eval ~ctx ~minimum_cardinality ?plan ?repr ?steps_out s m tgd
-        | Clip_shard.Sharded cut ->
-          let query = B.prepare ?obs ~ctx ~session:s ~mapping:m tgd in
-          (match
-             sharded_run_result
-               (module B)
-               ~ctx ~minimum_cardinality ?plan ?repr ?steps_out ?jobs
-               ~shard_bytes ~cut ~query s.ssource
-           with
-           | Ok out -> out
-           | Error ds -> raise (Clip_diag.Fail ds)))
-
   let run_result ?ctx ?limits ?(backend = `Tgd) ?(minimum_cardinality = true)
       ?plan ?repr ?steps_out ?(mode = `Whole)
       ?(shard_bytes = default_shard_bytes) ?jobs s (m : Mapping.t) =
     let ctx = match ctx with Some c -> c | None -> Clip_run.create () in
     let obs = Clip_run.counters ctx in
     match
-      Clip_run.span ctx "compile" (fun () -> session_tgd_result ?obs s m)
+      Clip_run.span ctx "compile" (fun () -> session_tgd ?obs s m)
     with
     | Error ds -> Error ds
     | Ok tgd -> (
@@ -634,12 +489,6 @@ let session_for ctx source =
     s
 
 let resolve_ctx = function Some c -> c | None -> Clip_run.ambient ()
-
-let run ?ctx ?backend ?minimum_cardinality ?plan ?repr ?steps_out ?mode
-    ?shard_bytes ?jobs (m : Mapping.t) source =
-  let ctx = resolve_ctx ctx in
-  Session.run ~ctx ?backend ?minimum_cardinality ?plan ?repr ?steps_out ?mode
-    ?shard_bytes ?jobs (session_for ctx source) m
 
 let run_result ?ctx ?limits ?backend ?minimum_cardinality ?plan ?repr
     ?steps_out ?mode ?shard_bytes ?jobs (m : Mapping.t) source =
@@ -782,15 +631,6 @@ let run_stream_result ?ctx ?limits ?(backend = `Tgd)
                               | Some doc -> Ok doc
                               | None -> assert false)))))))
 
-let run_stream ?ctx ?limits ?backend ?minimum_cardinality ?plan ?repr
-    ?steps_out ?mode ?shard_bytes ?jobs m src =
-  match
-    run_stream_result ?ctx ?limits ?backend ?minimum_cardinality ?plan ?repr
-      ?steps_out ?mode ?shard_bytes ?jobs m src
-  with
-  | Ok doc -> doc
-  | Error ds -> raise (Clip_diag.Fail ds)
-
 (* Every diagnostic for a mapping, in one pass: all validity issues
    (warnings included), then — when validity allows compiling — any
    compile- or XQuery-translation-stage errors. *)
@@ -808,34 +648,38 @@ let diagnose (m : Mapping.t) =
   in
   issues @ later
 
-let run_traced ?ctx ?(minimum_cardinality = true) ?plan (m : Mapping.t) source =
+let run_traced_result ?ctx ?(minimum_cardinality = true) ?plan (m : Mapping.t)
+    source =
   let ctx = resolve_ctx ctx in
   let s = session_for ctx source in
   let obs = Clip_run.counters ctx in
-  let tgd = Clip_run.span ctx "compile" (fun () -> session_tgd ?obs s m) in
-  Clip_run.span ctx "execute" (fun () ->
-    Clip_tgd.Eval.run_traced ~minimum_cardinality ?plan
-      ~ctl:(Clip_run.control ctx) ~session:s.stgd ?obs ~source
-      ~target_root:m.target.root.name tgd)
+  match Clip_run.span ctx "compile" (fun () -> session_tgd ?obs s m) with
+  | Error ds -> Error ds
+  | Ok tgd ->
+    Clip_run.span ctx "execute" (fun () ->
+      Clip_tgd.Eval.run_traced_result ~minimum_cardinality ?plan
+        ~ctl:(Clip_run.control ctx) ~session:s.stgd ?obs ~source
+        ~target_root:m.target.root.name tgd)
 
 (* EXPLAIN: compile (or translate) like a run would, then hand off to
    the backend's static plan renderer. Uses the same one-shot session
-   memo as [run], so an explain right before or after a run over the
-   same document shares its statistics instead of re-walking it. *)
-let explain ?ctx ?(backend = `Tgd) ?plan ?mode
+   memo as [run_result], so an explain right before or after a run over
+   the same document shares its statistics instead of re-walking it. *)
+let explain_result ?ctx ?(backend = `Tgd) ?plan ?mode
     ?(shard_bytes = default_shard_bytes) (m : Mapping.t) source =
   let ctx = resolve_ctx ctx in
   let s = session_for ctx source in
   let obs = Clip_run.counters ctx in
-  let tgd = session_tgd ?obs s m in
-  let base =
+  let ( let* ) = Result.bind in
+  let* tgd = session_tgd ?obs s m in
+  let* base =
     match backend_module backend with
-    | Backend (module B) -> B.explain ?obs ?plan s m tgd
+    | Backend (module B) -> B.explain_result ?obs ?plan s m tgd
   in
   (* The sharding note only appears when a mode was asked for, keeping
      the default EXPLAIN output (and its goldens) untouched. *)
   match mode with
-  | None -> base
+  | None -> Ok base
   | Some mode ->
     let d =
       decide ~mode ~minimum_cardinality:true ~shard_bytes m tgd source
@@ -844,11 +688,7 @@ let explain ?ctx ?(backend = `Tgd) ?plan ?mode
       if base = "" || base.[String.length base - 1] = '\n' then base
       else base ^ "\n"
     in
-    base ^ Clip_shard.decision_note d ^ "\n"
-
-let explain_result ?ctx ?backend ?plan ?mode ?shard_bytes (m : Mapping.t)
-    source =
-  Clip_diag.guard (fun () -> explain ?ctx ?backend ?plan ?mode ?shard_bytes m source)
+    Ok (base ^ Clip_shard.decision_note d ^ "\n")
 
 let xquery_text (m : Mapping.t) =
   let tgd = Compile.to_tgd m in

@@ -40,7 +40,13 @@
     For repeated runs against one source instance, a {!Session}
     amortises the per-document and per-mapping analysis — compile,
     translation, statistics, tag index, physical plans — across
-    runs. *)
+    runs.
+
+    Every execution entry point returns a [result]: each failure, on
+    every backend, plan, representation and shard mode, is a list of
+    stable [CLIP-*] diagnostics, never an exception. Only caller errors
+    raise [Invalid_argument]: an empty {!run_staged_result} chain, or
+    [~minimum_cardinality:false] on a backend other than [`Tgd]. *)
 
 type backend = [ `Tgd | `Xquery | `Xquery_text | `Rel ]
 
@@ -55,7 +61,7 @@ type backend = [ `Tgd | `Xquery | `Xquery_text | `Rel ]
       backend executors (one backend session per shard, tgd and query
       compiled once), and merge the per-shard targets into exactly the
       whole-document output. Join-bearing and otherwise unsafe mappings
-      fall back to [`Whole] (EXPLAIN says why, see {!explain});
+      fall back to [`Whole] (EXPLAIN says why, see {!explain_result});
     - [`Auto] — [`Sharded], but only when the document overflows one
       [?shard_bytes] budget, so small documents keep the zero-overhead
       whole path.
@@ -101,26 +107,10 @@ module Session : sig
   val create : Clip_xml.Node.t -> t
   val source : t -> Clip_xml.Node.t
 
-  (** [run session mapping] — like {!val-run} over the session's
-      document, reusing every cached artifact. [?ctx] supplies the
-      execution context whose counter sink and tracer observe the run
-      (default: a fresh silent context). *)
-  val run :
-    ?ctx:Clip_run.t ->
-    ?backend:backend ->
-    ?minimum_cardinality:bool ->
-    ?plan:Clip_plan.mode ->
-    ?repr:Clip_xml.Doc.repr ->
-    ?steps_out:int ref ->
-    ?mode:mode ->
-    ?shard_bytes:int ->
-    ?jobs:int ->
-    t ->
-    Mapping.t ->
-    Clip_xml.Node.t
-
   (** [run_result session mapping] — like {!val-run_result} over the
-      session's document. *)
+      session's document, reusing every cached artifact. [?ctx]
+      supplies the execution context whose counter sink and tracer
+      observe the run (default: a fresh silent context). *)
   val run_result :
     ?ctx:Clip_run.t ->
     ?limits:Clip_diag.Limits.t ->
@@ -141,10 +131,11 @@ end
     from an execution backend in one signature. A backend provides a
     shard-ready compiled form ([query], prepared once per run and
     shared by every shard), whole-document evaluation through the
-    {!Session} caches ([eval]/[eval_result] — phase spans, counters,
+    {!Session} caches ([eval_result] — phase spans, counters,
     cancellation and the step budget flow through the [ctx]), per-shard
     evaluation against fresh backend state ([eval_shard]), and the
-    static plan renderer behind [clip explain] ([explain]).
+    static plan renderer behind [clip explain] ([explain_result]). Every
+    function that can fail reports diagnostics.
 
     Engine dispatch is a lookup in the {!backends} table of first-class
     modules, so adding a backend means writing one module satisfying
@@ -161,14 +152,6 @@ module type BACKEND = sig
   (** One clause for the [--backend] option's documentation. *)
   val doc : string
 
-  val prepare :
-    ?obs:Clip_obs.Counters.t ->
-    ctx:Clip_run.t ->
-    ?session:Session.t ->
-    mapping:Mapping.t ->
-    Clip_tgd.Tgd.t ->
-    query
-
   val prepare_result :
     ?limits:Clip_diag.Limits.t ->
     ?obs:Clip_obs.Counters.t ->
@@ -177,17 +160,6 @@ module type BACKEND = sig
     mapping:Mapping.t ->
     Clip_tgd.Tgd.t ->
     (query, Clip_diag.t list) result
-
-  val eval :
-    ctx:Clip_run.t ->
-    minimum_cardinality:bool ->
-    ?plan:Clip_plan.mode ->
-    ?repr:Clip_xml.Doc.repr ->
-    ?steps_out:int ref ->
-    Session.t ->
-    Mapping.t ->
-    Clip_tgd.Tgd.t ->
-    Clip_xml.Node.t
 
   val eval_result :
     ?limits:Clip_diag.Limits.t ->
@@ -213,13 +185,13 @@ module type BACKEND = sig
     Clip_xml.Node.t ->
     (Clip_xml.Node.t, Clip_diag.t list) result
 
-  val explain :
+  val explain_result :
     ?obs:Clip_obs.Counters.t ->
     ?plan:Clip_plan.mode ->
     Session.t ->
     Mapping.t ->
     Clip_tgd.Tgd.t ->
-    string
+    (string, Clip_diag.t list) result
 end
 
 (** A backend packed with its (existential) query type — the row type
@@ -242,35 +214,23 @@ val backend_of_name : string -> packed option
     identifier — the alternatives of the [--backend] option. *)
 val backend_names : (string * backend) list
 
-(** [run ?backend ?minimum_cardinality mapping source] — the target
-    instance. Default backend [`Tgd]; default minimum-cardinality on;
-    default plan [`Auto]. [?ctx] supplies the execution context —
+(** [run_result mapping source] — the target instance. Default backend
+    [`Tgd]; default minimum-cardinality on; default plan [`Auto];
+    default mode [`Whole]. [?ctx] supplies the execution context —
     counter sink, tracer, and the one-shot session memo that lets
     repeated runs over the same document under one context reuse its
     analysis; without it, the per-domain {!Clip_run.ambient} shim is
     used (silent, domain-local).
-    @raise Compile.Invalid when the mapping is invalid
-    @raise Clip_tgd.Eval.Error / Clip_xquery.Eval.Error on dynamic
-    failures. *)
-val run :
-  ?ctx:Clip_run.t ->
-  ?backend:backend ->
-  ?minimum_cardinality:bool ->
-  ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
-  ?steps_out:int ref ->
-  ?mode:mode ->
-  ?shard_bytes:int ->
-  ?jobs:int ->
-  Mapping.t ->
-  Clip_xml.Node.t ->
-  Clip_xml.Node.t
 
-(** [run_result mapping source] — like {!run}, reporting every failure
-    stage as diagnostics instead of exceptions: [CLIP-VAL-*] validity
-    errors, [CLIP-CMP-*] compile errors, [CLIP-XQG-001] translation
-    gaps, [CLIP-TGD-001]/[CLIP-XQ-*] dynamic errors and [CLIP-LIM-004]
-    exhausted step budgets. *)
+    Every failure stage is reported as diagnostics: [CLIP-VAL-*]
+    validity errors, [CLIP-CMP-*] compile errors, [CLIP-XQG-001]
+    translation gaps, [CLIP-REL-003] non-relational sources on [`Rel],
+    [CLIP-XQ-*] parse errors of the round-tripped query on
+    [`Xquery_text], [CLIP-TGD-001]/[CLIP-XQ-002] dynamic errors,
+    [CLIP-LIM-004] exhausted step budgets, [CLIP-LIM-005]/[CLIP-LIM-006]
+    deadline and cancellation, and injected [CLIP-FLT-*] faults.
+    @raise Invalid_argument on [~minimum_cardinality:false] with a
+    backend other than [`Tgd]. *)
 val run_result :
   ?ctx:Clip_run.t ->
   ?limits:Clip_diag.Limits.t ->
@@ -345,24 +305,7 @@ val run_stream_result :
   Clip_xml.Stream.source ->
   (Clip_xml.Node.t, Clip_diag.t list) result
 
-(** [run_stream mapping stream] — {!run_stream_result}, raising
-    {!Clip_diag.Fail} on any failure. *)
-val run_stream :
-  ?ctx:Clip_run.t ->
-  ?limits:Clip_diag.Limits.t ->
-  ?backend:backend ->
-  ?minimum_cardinality:bool ->
-  ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
-  ?steps_out:int ref ->
-  ?mode:mode ->
-  ?shard_bytes:int ->
-  ?jobs:int ->
-  Mapping.t ->
-  Clip_xml.Stream.source ->
-  Clip_xml.Node.t
-
-(** [explain ?backend ?plan mapping source] — a static, deterministic
+(** [explain_result ?backend ?plan mapping source] — a static, deterministic
     EXPLAIN of how a run with the same arguments would execute: the
     resolved strategy (e.g. [`Auto] dropping to the direct interpreter
     below the planning threshold), then per source clause the chosen
@@ -376,19 +319,10 @@ val run_stream :
     resolved sharding decision for this document — the designated cut,
     or the whole-document fallback with its reason. Without [?mode]
     the output is unchanged.
-    @raise Compile.Invalid when the mapping is invalid. *)
-val explain :
-  ?ctx:Clip_run.t ->
-  ?backend:backend ->
-  ?plan:Clip_plan.mode ->
-  ?mode:mode ->
-  ?shard_bytes:int ->
-  Mapping.t ->
-  Clip_xml.Node.t ->
-  string
 
-(** [explain_result mapping source] — like {!explain}, reporting
-    failures as diagnostics. *)
+    Failures are the diagnostics the same {!run_result} would report
+    before executing: [CLIP-VAL-*] for an invalid mapping,
+    [CLIP-CMP-*], [CLIP-XQG-001] and [CLIP-REL-003]. *)
 val explain_result :
   ?ctx:Clip_run.t ->
   ?backend:backend ->
@@ -405,19 +339,25 @@ val explain_result :
     errors. Empty means clean. *)
 val diagnose : Mapping.t -> Clip_diag.t list
 
-(** [run_traced mapping source] — run on the tgd backend and also
-    return instance-level lineage: which source elements each created
-    target element came from (see {!Clip_tgd.Eval.run_traced}). *)
-val run_traced :
+(** [run_traced_result mapping source] — run on the tgd backend and
+    also return instance-level lineage: which source elements each
+    created target element came from (see
+    {!Clip_tgd.Eval.run_traced_result}). Diagnostics as
+    {!run_result}. *)
+val run_traced_result :
   ?ctx:Clip_run.t ->
   ?minimum_cardinality:bool ->
   ?plan:Clip_plan.mode ->
   Mapping.t ->
   Clip_xml.Node.t ->
-  Clip_xml.Node.t * Clip_tgd.Eval.trace_entry list
+  (Clip_xml.Node.t * Clip_tgd.Eval.trace_entry list, Clip_diag.t list) result
 
-(** The generated XQuery text for a mapping (Sec. VI output). *)
+(** The generated XQuery text for a mapping (Sec. VI output).
+    @raise Compile.Invalid when the mapping is invalid
+    @raise To_xquery.Unsupported when the query fragment cannot express
+    it. *)
 val xquery_text : Mapping.t -> string
 
-(** The compiled nested tgd in the paper's notation (Sec. IV output). *)
+(** The compiled nested tgd in the paper's notation (Sec. IV output).
+    @raise Compile.Invalid when the mapping is invalid. *)
 val tgd_text : ?unicode:bool -> Mapping.t -> string

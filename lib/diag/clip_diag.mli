@@ -2,10 +2,11 @@
 
     A diagnostic is a severity, a stable error code (e.g.
     [CLIP-XML-001]), a human message, an optional source span and
-    optional hints. Parsers, the compiler, the query generator and both
+    optional hints. Parsers, the compiler, the query generator and the
     evaluation engines report structured diagnostics through the
-    [('a, t list) result] APIs of their modules; the legacy exceptions
-    remain as thin wrappers over these.
+    [('a, t list) result] APIs of their modules. The evaluators and the
+    engine offer only those; parsers, compilers and translators still
+    keep raising forms as thin wrappers over them.
 
     Internally, library code raises {!Fail} and the public entry points
     convert it with {!guard}; [Fail] should never escape a [_result]

@@ -58,7 +58,7 @@ module Key : sig
   val hash : t -> int
 end
 
-(** The engine switch threaded from {!Clip_core.Engine.run} down to
+(** The engine switch threaded from {!Clip_core.Engine.run_result} down to
     both backends: [`Naive] runs the legacy interpreters (kept as
     differential-testing oracles), [`Indexed] forces the plan layer —
     every eligible equality becomes a hash join and the

@@ -6,8 +6,6 @@ module Tgd = Clip_tgd.Tgd
 module Term = Clip_tgd.Term
 module Builder = Clip_tgd.Builder
 
-exception Error of string
-
 (* Evaluation context: the pinned source document, its converted
    columnar form and per-shape store (both memo slots, so a session
    amortises them across runs), and the per-run budget/observability
@@ -306,7 +304,8 @@ let execute ?(limits = Clip_diag.Limits.default) ?(plan = `Auto)
       eval_scalar = (fun env s -> eval_scalar ctx store env s);
       eval_items = (fun env e -> items_of ctx store env e);
       (* Instance-level lineage is served by the tgd backend only
-         ([Eval.run_traced]); recording here would be dead weight. *)
+         ([Eval.run_traced_result]); recording here would be dead
+         weight. *)
       record_provenance = (fun _env _node -> ());
     }
   in
@@ -381,19 +380,10 @@ let execute ?(limits = Clip_diag.Limits.default) ?(plan = `Auto)
    | `Auto -> eval_planned Env.empty (planned_for `Cost));
   Builder.root bld
 
-let reraise_legacy ds =
-  let d = match ds with d :: _ -> d | [] -> assert false in
-  raise (Error d.Clip_diag.message)
-
 let run_result ?limits ?plan ?repr ?ctl ?session ?steps_out ?obs ~source prog =
   Clip_diag.guard (fun () ->
     Builder.bnode_to_node
       (execute ?limits ?plan ?repr ?ctl ?session ?steps_out ?obs ~source prog))
-
-let run ?limits ?plan ?repr ?ctl ?session ?steps_out ?obs ~source prog =
-  match run_result ?limits ?plan ?repr ?ctl ?session ?steps_out ?obs ~source prog with
-  | Ok n -> n
-  | Error ds -> reraise_legacy ds
 
 (* --- EXPLAIN ----------------------------------------------------------- *)
 

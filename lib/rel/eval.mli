@@ -11,9 +11,6 @@
     mapping and document. Step counts and counters are this backend's
     own. *)
 
-(** Legacy wrapper for {!run}; prefer {!run_result}. *)
-exception Error of string
-
 (** A rel evaluation session: pins a source document and caches its
     columnar conversion, the per-shape {!Store} and compiled physical
     plans across runs. *)
@@ -26,6 +23,9 @@ end
 
 type session = Session.t
 
+(** [run_result ~source prog] — the target instance. Dynamic errors are
+    reported as [CLIP-TGD-001] diagnostics with the tgd backend's
+    messages, an exhausted step budget as [CLIP-LIM-004]. *)
 val run_result :
   ?limits:Clip_diag.Limits.t ->
   ?plan:Clip_plan.mode ->
@@ -37,20 +37,6 @@ val run_result :
   source:Clip_xml.Node.t ->
   Program.t ->
   (Clip_xml.Node.t, Clip_diag.t list) result
-
-(** Like {!run_result}.
-    @raise Error on any failure. *)
-val run :
-  ?limits:Clip_diag.Limits.t ->
-  ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
-  ?ctl:Clip_run.Control.t ->
-  ?session:session ->
-  ?steps_out:int ref ->
-  ?obs:Clip_obs.Counters.t ->
-  source:Clip_xml.Node.t ->
-  Program.t ->
-  Clip_xml.Node.t
 
 (** Static EXPLAIN: the store statistics and, per rule, the
     {!Clip_plan} stage rendering under the given mode. Nothing is

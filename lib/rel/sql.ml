@@ -5,10 +5,10 @@ module Term = Clip_tgd.Term
 
 (* SQL text generation from a compiled relational program: one SELECT
    per flattened tgd rule ({!Tgd.rules}). Every source generator of a
-   rule ranges over a whole table (enforced by {!Program.compile}), so
-   the FROM clause is exactly the rule's generator chain; the nesting
-   of the target side survives only as the rule comments and GROUP BY
-   keys. Output is deterministic text — golden-tested by
+   rule ranges over a whole table (enforced by
+   {!Program.compile_result}), so the FROM clause is exactly the rule's
+   generator chain; the nesting of the target side survives only as
+   the rule comments and GROUP BY keys. Output is deterministic text — golden-tested by
    [test/cram/rel.t] — not fed to any database. *)
 
 let quote_string s =

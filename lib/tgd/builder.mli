@@ -22,7 +22,7 @@
 
 (** A mutable target element under construction. [bprov] accumulates
     the contributing source elements (instance-level lineage, see
-    {!Eval.run_traced}); [bseen] is its identity seen-set. *)
+    {!Eval.run_traced_result}); [bseen] is its identity seen-set. *)
 type bnode = {
   id : int;
   btag : string;

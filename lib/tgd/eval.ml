@@ -2,8 +2,6 @@ module Xml = Clip_xml
 module Path = Clip_schema.Path
 module Value = Clip_xquery.Value
 
-exception Error of string
-
 let error fmt =
   Printf.ksprintf
     (fun s -> Clip_diag.fail (Clip_diag.error ~code:Clip_diag.Codes.tgd_eval s))
@@ -749,25 +747,12 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
      end);
   Builder.root bld
 
-let reraise_legacy ds =
-  let d = match ds with d :: _ -> d | [] -> assert false in
-  raise (Error d.Clip_diag.message)
-
 let run_result ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session ?steps_out
     ?obs ~source ~target_root m =
   Clip_diag.guard (fun () ->
     Builder.bnode_to_node
       (execute ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session ?steps_out
          ?obs ~source ~target_root m))
-
-let run ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session ?steps_out ?obs
-    ~source ~target_root m =
-  match
-    run_result ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session ?steps_out
-      ?obs ~source ~target_root m
-  with
-  | Ok n -> n
-  | Error ds -> reraise_legacy ds
 
 (* --- EXPLAIN ----------------------------------------------------------- *)
 
@@ -869,36 +854,22 @@ type trace_entry = {
   sources : Xml.Node.t list;
 }
 
-let run_traced_unguarded ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session
-    ?steps_out ?obs ~source ~target_root m =
-  let root =
-    execute ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session ?steps_out ?obs
-      ~source ~target_root m
-  in
-  let trace = ref [] in
-  let rec walk path (b : Builder.bnode) =
-    trace :=
-      {
-        target_path = List.rev path;
-        sources = List.rev_map (fun e -> Xml.Node.Element e) b.Builder.bprov;
-      }
-      :: !trace;
-    List.iteri (fun i c -> walk (i :: path) c) (List.rev b.Builder.bchildren)
-  in
-  walk [] root;
-  (Builder.bnode_to_node root, List.rev !trace)
-
 let run_traced_result ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session
     ?steps_out ?obs ~source ~target_root m =
   Clip_diag.guard (fun () ->
-    run_traced_unguarded ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session
-      ?steps_out ?obs ~source ~target_root m)
-
-let run_traced ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session ?steps_out
-    ?obs ~source ~target_root m =
-  match
-    run_traced_result ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session
-      ?steps_out ?obs ~source ~target_root m
-  with
-  | Ok r -> r
-  | Error ds -> reraise_legacy ds
+    let root =
+      execute ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session ?steps_out
+        ?obs ~source ~target_root m
+    in
+    let trace = ref [] in
+    let rec walk path (b : Builder.bnode) =
+      trace :=
+        {
+          target_path = List.rev path;
+          sources = List.rev_map (fun e -> Xml.Node.Element e) b.Builder.bprov;
+        }
+        :: !trace;
+      List.iteri (fun i c -> walk (i :: path) c) (List.rev b.Builder.bchildren)
+    in
+    walk [] root;
+    (Builder.bnode_to_node root, List.rev !trace))

@@ -56,8 +56,6 @@
     across runs, so repeated execution against the same source pays
     the analysis once. *)
 
-exception Error of string
-
 (** A per-document cache: evaluation context (memoised tag index +
     instance statistics) and compiled physical plans, reused by every
     run handed the session together with the {e same} (physically
@@ -98,22 +96,6 @@ val run_result :
   target_root:string ->
   Tgd.t ->
   (Clip_xml.Node.t, Clip_diag.t list) result
-
-(** [run ~source ~target_root m] — like {!run_result}.
-    @raise Error on any reported diagnostic. *)
-val run :
-  ?limits:Clip_diag.Limits.t ->
-  ?minimum_cardinality:bool ->
-  ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
-  ?ctl:Clip_run.Control.t ->
-  ?session:Session.t ->
-  ?steps_out:int ref ->
-  ?obs:Clip_obs.Counters.t ->
-  source:Clip_xml.Node.t ->
-  target_root:string ->
-  Tgd.t ->
-  Clip_xml.Node.t
 
 (** [explain ~source m] — a static, deterministic EXPLAIN of how
     [?plan] (default [`Auto]) would execute [m] over [source]: a
@@ -157,19 +139,3 @@ val run_traced_result :
   target_root:string ->
   Tgd.t ->
   (Clip_xml.Node.t * trace_entry list, Clip_diag.t list) result
-
-(** [run_traced ~source ~target_root m] — like {!run}, also returning
-    the lineage of every target element, preorder. *)
-val run_traced :
-  ?limits:Clip_diag.Limits.t ->
-  ?minimum_cardinality:bool ->
-  ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
-  ?ctl:Clip_run.Control.t ->
-  ?session:Session.t ->
-  ?steps_out:int ref ->
-  ?obs:Clip_obs.Counters.t ->
-  source:Clip_xml.Node.t ->
-  target_root:string ->
-  Tgd.t ->
-  Clip_xml.Node.t * trace_entry list

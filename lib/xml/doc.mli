@@ -7,7 +7,7 @@
     atomic value is an index into one shared, deduplicated atom table,
     so traversals are int-array sweeps instead of pointer chases. This
     is the substrate of the vectorized execution path (the [`Columnar]
-    representation of {!Clip_core.Engine.run}).
+    representation of {!Clip_core.Engine.run_result}).
 
     {!of_node} keeps a back-pointer to the original boxed node of each
     id, so {!to_node} is O(1) and returns the {e physically identical}
@@ -50,7 +50,7 @@ type t = private {
 }
 
 (** The document-representation switch threaded from
-    {!Clip_core.Engine.run} down to both backends: [`Tree] runs the
+    {!Clip_core.Engine.run_result} down to both backends: [`Tree] runs the
     boxed-tree interpreters (the differential oracle), [`Columnar] the
     array path, [`Auto] picks columnar when the document is large
     enough that conversion pays for itself. All representations are

@@ -1,7 +1,5 @@
 module Xml = Clip_xml
 
-exception Error of string
-
 let error fmt =
   Printf.ksprintf
     (fun s -> Clip_diag.fail (Clip_diag.error ~code:Clip_diag.Codes.xquery_eval s))
@@ -883,17 +881,6 @@ let run_result ?(limits = Clip_diag.Limits.default) ?(plan = `Auto) ?repr ?ctl
     with_ctx ?ctl ?session ?obs ?repr plan limits steps_out input (fun ctx ->
         eval ctx Env.empty expr))
 
-let reraise_legacy ds =
-  let d = match ds with d :: _ -> d | [] -> assert false in
-  raise (Error d.Clip_diag.message)
-
-let run ?limits ?plan ?repr ?ctl ?session ?steps_out ?obs ~input expr =
-  match
-    run_result ?limits ?plan ?repr ?ctl ?session ?steps_out ?obs ~input expr
-  with
-  | Ok v -> v
-  | Error ds -> reraise_legacy ds
-
 let run_document_result ?(limits = Clip_diag.Limits.default) ?(plan = `Auto)
     ?repr ?ctl ?session ?steps_out ?obs ~input expr =
   Clip_diag.guard (fun () ->
@@ -903,11 +890,3 @@ let run_document_result ?(limits = Clip_diag.Limits.default) ?(plan = `Auto)
       | v ->
         error "query result is not a single element: %s"
           (Format.asprintf "%a" Value.pp v)))
-
-let run_document ?limits ?plan ?repr ?ctl ?session ?steps_out ?obs ~input expr =
-  match
-    run_document_result ?limits ?plan ?repr ?ctl ?session ?steps_out ?obs ~input
-      expr
-  with
-  | Ok n -> n
-  | Error ds -> reraise_legacy ds

@@ -39,8 +39,6 @@
     artifacts — tag index, instance statistics, compiled FLWOR plans —
     across runs. *)
 
-exception Error of string
-
 (** A per-document cache reused by every run handed the session
     together with the {e same} (physically equal) input document;
     with a different document the session is simply ignored. Sessions
@@ -85,20 +83,6 @@ val run_result :
   Ast.expr ->
   (Value.t, Clip_diag.t list) result
 
-(** [run ~input expr] — like {!run_result}.
-    @raise Error on any reported diagnostic. *)
-val run :
-  ?limits:Clip_diag.Limits.t ->
-  ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
-  ?ctl:Clip_run.Control.t ->
-  ?session:Session.t ->
-  ?steps_out:int ref ->
-  ?obs:Clip_obs.Counters.t ->
-  input:Clip_xml.Node.t ->
-  Ast.expr ->
-  Value.t
-
 (** [run_document_result ~input expr] — like {!run_result} but expects
     the result to be exactly one element node (the constructed target
     document). *)
@@ -113,17 +97,3 @@ val run_document_result :
   input:Clip_xml.Node.t ->
   Ast.expr ->
   (Clip_xml.Node.t, Clip_diag.t list) result
-
-(** [run_document ~input expr] — like {!run_document_result}.
-    @raise Error on any reported diagnostic. *)
-val run_document :
-  ?limits:Clip_diag.Limits.t ->
-  ?plan:Clip_plan.mode ->
-  ?repr:Clip_xml.Doc.repr ->
-  ?ctl:Clip_run.Control.t ->
-  ?session:Session.t ->
-  ?steps_out:int ref ->
-  ?obs:Clip_obs.Counters.t ->
-  input:Clip_xml.Node.t ->
-  Ast.expr ->
-  Clip_xml.Node.t

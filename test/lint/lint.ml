@@ -26,9 +26,34 @@
    [--instrument-with bisect_ppx] — a library missing the stanza
    silently vanishes from the coverage report.
 
+   No [.mli] under [lib/] may declare both [val f] and [val f_result]:
+   the result form is the API, and a raising twin is a second failure
+   channel that drifts from it. [twin_allowlist] names the twins that
+   remain (parsers, compilers, translators, Clio and the algebra); an
+   entry that is no longer a twin is reported too, so the list only
+   shrinks.
+
    Run as [lint.exe LIBDIR]; wired into [dune runtest]. *)
 
 let allowlist = [ ("clio/generate.ml", 1); ("clio/enumerate.ml", 1); ("core/compile.ml", 1) ]
+
+(* Raising twins of [_result] functions still to be retired, per
+   interface. *)
+let twin_allowlist =
+  [
+    ("algebra/clip_algebra.mli", [ "compose"; "contains"; "equiv"; "run" ]);
+    ("clio/enumerate.mli", [ "flexibility" ]);
+    ("clio/generate.mli", [ "generate"; "to_clip"; "to_tgd" ]);
+    ("core/compile.mli", [ "to_tgd"; "to_tgd_unchecked" ]);
+    ("core/dsl.mli", [ "parse"; "parse_mapping" ]);
+    ("core/to_xquery.mli", [ "translate" ]);
+    ("schema/dsl.mli", [ "parse"; "parse_many" ]);
+    ("schema/lexer.mli", [ "tokenize" ]);
+    ("schema/relational.mli", [ "to_schema" ]);
+    ("schema/xsd.mli", [ "of_string" ]);
+    ("xml/parser.mli", [ "parse_string" ]);
+    ("xquery/parser.mli", [ "parse_string" ]);
+  ]
 
 (* Files allowed N top-level mutable bindings. xml/symbol.ml's one is
    the empty initial intern table, published through an [Atomic]
@@ -195,6 +220,42 @@ let count_mutable_globals src =
   go lines;
   !count
 
+(* Names [f] for which the interface declares both [val f] and
+   [val f_result], sorted. Nested signatures share one namespace here,
+   which errs on the side of reporting. *)
+let raising_twins src =
+  let src = strip_literals src in
+  let n = String.length src in
+  let vals = ref [] in
+  for i = 0 to n - 4 do
+    if
+      String.equal (String.sub src i 3) "val"
+      && (i = 0 || not (is_ident_char src.[i - 1]))
+      && (src.[i + 3] = ' ' || src.[i + 3] = '\n')
+    then begin
+      let j = ref (i + 3) in
+      while !j < n && (src.[!j] = ' ' || src.[!j] = '\n') do
+        incr j
+      done;
+      let k = ref !j in
+      while !k < n && is_ident_char src.[!k] do
+        incr k
+      done;
+      if !k > !j then vals := String.sub src !j (!k - !j) :: !vals
+    end
+  done;
+  let suffix = "_result" in
+  let ns = String.length suffix in
+  List.filter_map
+    (fun v ->
+      let nv = String.length v in
+      if nv > ns && String.equal (String.sub v (nv - ns) ns) suffix then
+        let base = String.sub v 0 (nv - ns) in
+        if List.mem base !vals then Some base else None
+      else None)
+    !vals
+  |> List.sort_uniq compare
+
 let rec ml_files dir =
   Sys.readdir dir |> Array.to_list
   |> List.concat_map (fun f ->
@@ -243,6 +304,28 @@ let () =
           "lint: %s: %d use(s) of failwith, %d allowed — report a Clip_diag \
            diagnostic instead (see lib/diag)"
           rel fw allowed;
+      if Filename.check_suffix path ".mli" then begin
+        let twins = raising_twins src in
+        let allowed =
+          match List.assoc_opt rel twin_allowlist with Some l -> l | None -> []
+        in
+        List.iter
+          (fun f ->
+            if not (List.mem f allowed) then
+              complain
+                "lint: %s: declares both %s and %s_result — keep only the \
+                 result form (callers unwrap it themselves)"
+                rel f f)
+          twins;
+        List.iter
+          (fun f ->
+            if not (List.mem f twins) then
+              complain
+                "lint: %s: twin allowlist names %s, which is no longer a \
+                 raising twin — drop it from the allowlist"
+                rel f)
+          allowed
+      end;
       if Filename.check_suffix path ".ml" then begin
         let globals = count_mutable_globals src in
         let allowed =

@@ -11,9 +11,20 @@ module Generate = Clip_clio.Generate
 module Enumerate = Clip_clio.Enumerate
 module Node = Clip_xml.Node
 
+(* A result-returning run's value, or the test fails with its
+   diagnostics. *)
+let get_ok = function
+  | Ok v -> v
+  | Error ds -> Alcotest.fail (Clip_diag.render_list ds)
+
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checksl = Alcotest.(check (list string))
+
+let contains haystack needle =
+  let n = String.length needle and len = String.length haystack in
+  let rec go i = i + n <= len && (String.sub haystack i n = needle || go (i + 1)) in
+  go 0
 
 let path s =
   match Path.of_string s with
@@ -157,7 +168,7 @@ let skeleton_tests =
 (* --- Baseline generation: the Fig. 1 defect --------------------------------------- *)
 
 let run_tgd tgd =
-  Clip_tgd.Eval.run ~source:S.Deptdb.instance ~target_root:"target" tgd
+  get_ok (Clip_tgd.Eval.run_result ~source:S.Deptdb.instance ~target_root:"target" tgd)
 
 let baseline_tests =
   [
@@ -251,7 +262,7 @@ let to_clip_tests =
       (fun () ->
         let forest = Generate.forest ~extension:true S.Figures.fig1_values in
         let clip = Generate.to_clip S.Figures.fig1_values forest in
-        let via_clip = Clip_core.Engine.run clip S.Deptdb.instance in
+        let via_clip = get_ok (Clip_core.Engine.run_result clip S.Deptdb.instance) in
         let via_tgd = run_tgd (Generate.to_tgd S.Figures.fig1_values forest) in
         checkb "same result" true (Node.equal_unordered via_clip via_tgd));
     Alcotest.test_case "baseline forests with multi-element mappings are rejected"
@@ -289,8 +300,9 @@ let wellformedness_tests =
           (fun (sc : S.Table1.scenario) ->
             let tgd = Generate.generate ~extension:true sc.mapping in
             let out =
-              Clip_tgd.Eval.run ~source:sc.instance
-                ~target_root:sc.mapping.target.root.name tgd
+              get_ok
+                (Clip_tgd.Eval.run_result ~source:sc.instance
+                   ~target_root:sc.mapping.target.root.name tgd)
             in
             let non_card =
               List.filter
@@ -349,9 +361,10 @@ let end_to_end_property =
         let counted backend =
           let c = Clip_obs.Counters.create () in
           let out =
-            Clip_core.Engine.run
-              ~ctx:(Clip_run.create ~counters:c ())
-              ~backend clip sc.S.Table1.instance
+            get_ok
+              (Clip_core.Engine.run_result
+                 ~ctx:(Clip_run.create ~counters:c ())
+                 ~backend clip sc.S.Table1.instance)
           in
           (out, c)
         in
@@ -425,6 +438,36 @@ let enumeration_detail_tests =
                 if i < j then checkb "distinct" false (Node.equal_unordered a b))
               outputs)
           outputs);
+    Alcotest.test_case "a base mapping failing at run time reports its CLIP-* code"
+      `Quick (fun () ->
+        let wrong_root = Clip_xml.Parser.parse_string "<sauce><dept/></sauce>" in
+        match
+          Enumerate.flexibility_result ~instance:wrong_root S.Figures.fig1_values
+        with
+        | Ok _ -> Alcotest.fail "the base mapping ran over a wrong-root instance"
+        | Error ds ->
+          checksl "codes" [ Clip_diag.Codes.clio_not_expressible ]
+            (List.map (fun (d : Clip_diag.t) -> d.code) ds);
+          let msg = (List.hd ds).message in
+          checkb
+            (Printf.sprintf "names the run's CLIP-TGD-001 (%s)" msg)
+            true
+            (contains msg "base mapping failed: error[CLIP-TGD-001]: source root is <sauce>"));
+    Alcotest.test_case "failed variants report their CLIP-* code" `Quick (fun () ->
+        let failed =
+          List.concat_map
+            (fun (sc : S.Table1.scenario) ->
+              let report = Enumerate.flexibility ~instance:sc.instance sc.mapping in
+              List.filter_map
+                (fun (v : Enumerate.variant) ->
+                  match v.outcome with Enumerate.Failed m -> Some m | _ -> None)
+                report.variants)
+            S.Table1.all
+        in
+        checkb "some variant fails" true (failed <> []);
+        List.iter
+          (fun m -> checkb m true (contains m "error[CLIP-TGD-001]: conflicting values"))
+          failed);
     Alcotest.test_case "all accepted variants are valid mappings" `Quick (fun () ->
         let report =
           Enumerate.flexibility ~instance:S.Deptdb.instance S.Figures.fig1_values

@@ -10,6 +10,12 @@ module Tgd = Clip_tgd.Tgd
 module Term = Clip_tgd.Term
 module S = Clip_scenarios
 
+(* A result-returning run's value, or the test fails with its
+   diagnostics. *)
+let get_ok = function
+  | Ok v -> v
+  | Error ds -> Alcotest.fail (Clip_diag.render_list ds)
+
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
@@ -174,7 +180,7 @@ let failure_tests =
         let tgd = Compile.to_tgd_unchecked m in
         checki "one assertion at the top" 1 (List.length tgd.assertions);
         let out =
-          Clip_tgd.Eval.run ~source:S.Deptdb.instance ~target_root:"target" tgd
+          get_ok (Clip_tgd.Eval.run_result ~source:S.Deptdb.instance ~target_root:"target" tgd)
         in
         checkb "counted both depts" true
           (Clip_xml.Node.equal_unordered out

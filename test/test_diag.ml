@@ -145,6 +145,37 @@ let compile_tests =
         checkb "validity diagnostic is an error" true (D.is_error d);
         (* diagnose collects the same issues without raising. *)
         checkb "diagnose reports errors" true (D.has_errors (Clip_core.Engine.diagnose m)));
+    Alcotest.test_case "explain_result reports CLIP-VAL-* on every backend" `Quick
+      (fun () ->
+        (* The cram suite's multi.clip: [clip check] rejects it, and
+           EXPLAIN must report the same diagnostics as a run. *)
+        let src =
+          "schema s { a [0..*] { x: string  b [0..*] { y: string } } }\n\
+           schema t { c [0..*] { @y: string  @z: string } }\n\
+           mapping {\n\
+          \  node n: s.a as $a -> t.c\n\
+          \  value s.a.b.y.value -> t.c.@y\n\
+          \  value s.a.b.y.value -> t.c.@z\n\
+           }\n"
+        in
+        let m =
+          match Clip_core.Dsl.parse_result src with
+          | Ok m -> m
+          | Error ds -> Alcotest.failf "fixture does not parse: %s" (D.render_list ds)
+        in
+        let doc =
+          Clip_xml.Parser.parse_string "<s><a><x>hi</x><b><y>1</y></b></a></s>"
+        in
+        let unanchored = D.Codes.validity "unanchored-source" in
+        List.iter
+          (fun (name, backend) ->
+            match Clip_core.Engine.explain_result ~backend m doc with
+            | Ok _ -> Alcotest.failf "%s: explain accepted an invalid mapping" name
+            | Error ds ->
+              Alcotest.(check (list string))
+                (name ^ ": codes") [ unanchored; unanchored ]
+                (List.map (fun (d : D.t) -> d.code) ds))
+          Clip_core.Engine.backend_names);
     Alcotest.test_case "driverless value mapping compiles to CLIP-CMP-007" `Quick
       (fun () ->
         let src =

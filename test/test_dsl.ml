@@ -6,6 +6,12 @@ module Dsl = Clip_core.Dsl
 module Mapping = Clip_core.Mapping
 module Node = Clip_xml.Node
 
+(* A result-returning run's value, or the test fails with its
+   diagnostics. *)
+let get_ok = function
+  | Ok v -> v
+  | Error ds -> Alcotest.fail (Clip_diag.render_list ds)
+
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
@@ -230,12 +236,14 @@ let roundtrip_tests =
                (Clip_core.Compile.to_tgd sc.mapping)
                (Clip_core.Compile.to_tgd m'));
           let a =
-            Clip_core.Engine.run ~minimum_cardinality:sc.minimum_cardinality
-              sc.mapping S.Deptdb.instance
+            get_ok
+              (Clip_core.Engine.run_result ~minimum_cardinality:sc.minimum_cardinality
+                 sc.mapping S.Deptdb.instance)
           in
           let b =
-            Clip_core.Engine.run ~minimum_cardinality:sc.minimum_cardinality m'
-              S.Deptdb.instance
+            get_ok
+              (Clip_core.Engine.run_result ~minimum_cardinality:sc.minimum_cardinality m'
+                 S.Deptdb.instance)
           in
           checkb "same output" true (Node.equal a b)))
     S.Figures.all

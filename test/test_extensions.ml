@@ -7,6 +7,12 @@ module Path = Clip_schema.Path
 module Node = Clip_xml.Node
 module Atom = Clip_xml.Atom
 
+(* A result-returning run's value, or the test fails with its
+   diagnostics. *)
+let get_ok = function
+  | Ok v -> v
+  | Error ds -> Alcotest.fail (Clip_diag.render_list ds)
+
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
@@ -138,10 +144,10 @@ let xquery_parser_tests =
               let text = Clip_core.Engine.xquery_text sc.mapping in
               let q = Clip_xquery.Parser.parse_string text in
               let via_text =
-                Clip_xquery.Eval.run_document ~input:S.Deptdb.instance q
+                get_ok (Clip_xquery.Eval.run_document_result ~input:S.Deptdb.instance q)
               in
               let direct =
-                Clip_core.Engine.run ~backend:`Xquery sc.mapping S.Deptdb.instance
+                get_ok (Clip_core.Engine.run_result ~backend:`Xquery sc.mapping S.Deptdb.instance)
               in
               checkb sc.name true (Node.equal via_text direct)
             end)
@@ -174,21 +180,21 @@ let xquery_parser_tests =
             let q' = Parser.parse_string (Pretty.query_to_string q) in
             checkb "same value" true
               (Value.equal
-                 (Eval.run ~input:S.Deptdb.instance q)
-                 (Eval.run ~input:S.Deptdb.instance q')))
+                 (get_ok (Eval.run_result ~input:S.Deptdb.instance q))
+                 (get_ok (Eval.run_result ~input:S.Deptdb.instance q'))))
           cases);
     Alcotest.test_case "paper-style unquoted attribute braces" `Quick (fun () ->
         let q =
           Clip_xquery.Parser.parse_string
             {|for $d in source/dept return <department name={$d/dname/text()} numProj={count($d/Proj)}/>|}
         in
-        let out = Clip_xquery.Eval.run ~input:S.Deptdb.instance q in
+        let out = get_ok (Clip_xquery.Eval.run_result ~input:S.Deptdb.instance q) in
         checki "2 departments" 2 (List.length out));
     Alcotest.test_case "quoted attribute value templates" `Quick (fun () ->
         let q =
           Clip_xquery.Parser.parse_string {|<x a="{ 1 + 2 }" b="static"/>|}
         in
-        match Clip_xquery.Eval.run ~input:S.Deptdb.instance q with
+        match get_ok (Clip_xquery.Eval.run_result ~input:S.Deptdb.instance q) with
         | [ Clip_xquery.Value.Node n ] ->
           let e = Node.as_element n in
           checkb "computed" true (Node.attr e "a" = Some (Atom.Int 3));
@@ -201,7 +207,7 @@ let xquery_parser_tests =
             {|(: outer (: nested :) comment :)
               <out>{ (1, 2, 3) }<inner/></out>|}
         in
-        match Clip_xquery.Eval.run ~input:S.Deptdb.instance q with
+        match get_ok (Clip_xquery.Eval.run_result ~input:S.Deptdb.instance q) with
         | [ Clip_xquery.Value.Node n ] ->
           let e = Node.as_element n in
           checki "1 inner" 1 (List.length (Node.children_named e "inner"))
@@ -209,7 +215,7 @@ let xquery_parser_tests =
     Alcotest.test_case "dashed names parse; spaced minus is subtraction" `Quick
       (fun () ->
         let q = Clip_xquery.Parser.parse_string "<x avg-sal={ 5 - 2 }/>" in
-        match Clip_xquery.Eval.run ~input:S.Deptdb.instance q with
+        match get_ok (Clip_xquery.Eval.run_result ~input:S.Deptdb.instance q) with
         | [ Clip_xquery.Value.Node n ] ->
           checkb "3" true (Node.attr (Node.as_element n) "avg-sal" = Some (Atom.Int 3))
         | _ -> Alcotest.fail "expected one node");
@@ -224,9 +230,9 @@ let xquery_parser_tests =
         List.iter
           (fun (sc : S.Figures.t) ->
             if sc.minimum_cardinality then begin
-              let a = Clip_core.Engine.run ~backend:`Tgd sc.mapping S.Deptdb.instance in
+              let a = get_ok (Clip_core.Engine.run_result ~backend:`Tgd sc.mapping S.Deptdb.instance) in
               let c =
-                Clip_core.Engine.run ~backend:`Xquery_text sc.mapping S.Deptdb.instance
+                get_ok (Clip_core.Engine.run_result ~backend:`Xquery_text sc.mapping S.Deptdb.instance)
               in
               checkb sc.name true (Node.equal a c)
             end)
@@ -287,7 +293,7 @@ let matcher_tests =
         checkb "has couplings" true (m.values <> []);
         let tgd = Clip_clio.Generate.generate ~extension:true m in
         let out =
-          Clip_tgd.Eval.run ~source:S.Deptdb.instance ~target_root:"target" tgd
+          get_ok (Clip_tgd.Eval.run_result ~source:S.Deptdb.instance ~target_root:"target" tgd)
         in
         checkb "produces departments" true (Node.count_elements out "department" > 0));
     Alcotest.test_case "a high threshold filters everything" `Quick (fun () ->
@@ -379,9 +385,9 @@ let provenance_tests =
   [
     Alcotest.test_case "fig4: each employee traces to its regEmp and dept" `Quick
       (fun () ->
-        let out, trace = Clip_core.Engine.run_traced S.Figures.fig4.mapping S.Deptdb.instance in
+        let out, trace = get_ok (Clip_core.Engine.run_traced_result S.Figures.fig4.mapping S.Deptdb.instance) in
         checkb "output unchanged" true
-          (Node.equal out (Clip_core.Engine.run S.Figures.fig4.mapping S.Deptdb.instance));
+          (Node.equal out (get_ok (Clip_core.Engine.run_result S.Figures.fig4.mapping S.Deptdb.instance)));
         (* target_path [1; 0] = second department, first employee:
            Richard Dawson, from Marketing. *)
         let entry =
@@ -410,7 +416,7 @@ let provenance_tests =
         checkb "traced to Marketing" true has_marketing);
     Alcotest.test_case "fig7: a grouped project traces to every member Proj" `Quick
       (fun () ->
-        let _, trace = Clip_core.Engine.run_traced S.Figures.fig7.mapping S.Deptdb.instance in
+        let _, trace = get_ok (Clip_core.Engine.run_traced_result S.Figures.fig7.mapping S.Deptdb.instance) in
         (* target_path [0] = the Appliances project, grouped from two
            Projs (ICT pid 1 and Marketing pid 32). *)
         let entry =
@@ -425,14 +431,14 @@ let provenance_tests =
         in
         checki "two member Projs" 2 (List.length projs));
     Alcotest.test_case "the root element has no provenance" `Quick (fun () ->
-        let _, trace = Clip_core.Engine.run_traced S.Figures.fig3.mapping S.Deptdb.instance in
+        let _, trace = get_ok (Clip_core.Engine.run_traced_result S.Figures.fig3.mapping S.Deptdb.instance) in
         let root =
           List.find (fun (t : Clip_tgd.Eval.trace_entry) -> t.target_path = []) trace
         in
         checkb "empty" true (root.sources = []));
     Alcotest.test_case "a trace entry exists for every target element" `Quick
       (fun () ->
-        let out, trace = Clip_core.Engine.run_traced S.Figures.fig5.mapping S.Deptdb.instance in
+        let out, trace = get_ok (Clip_core.Engine.run_traced_result S.Figures.fig5.mapping S.Deptdb.instance) in
         let rec count_elems n =
           match n with
           | Node.Element e ->
@@ -467,8 +473,8 @@ let combination_tests =
                 (path "target.project.@name");
             ]
         in
-        let a = Clip_core.Engine.run ~backend:`Tgd m S.Deptdb.instance in
-        let b = Clip_core.Engine.run ~backend:`Xquery m S.Deptdb.instance in
+        let a = get_ok (Clip_core.Engine.run_result ~backend:`Tgd m S.Deptdb.instance) in
+        let b = get_ok (Clip_core.Engine.run_result ~backend:`Xquery m S.Deptdb.instance) in
         (* distinct (pname, pid) pairs: (Appliances,1) (Robotics,2)
            (Brand promotion,1) (Appliances,32) *)
         checki "4 groups" 4 (Node.count_elements a "project");
@@ -497,9 +503,9 @@ let combination_tests =
                 (path "target.project-emp.@pname");
             ]
         in
-        let a = Clip_core.Engine.run ~backend:`Tgd m S.Deptdb.instance in
-        let b = Clip_core.Engine.run ~backend:`Xquery m S.Deptdb.instance in
-        let c = Clip_core.Engine.run ~backend:`Xquery_text m S.Deptdb.instance in
+        let a = get_ok (Clip_core.Engine.run_result ~backend:`Tgd m S.Deptdb.instance) in
+        let b = get_ok (Clip_core.Engine.run_result ~backend:`Xquery m S.Deptdb.instance) in
+        let c = get_ok (Clip_core.Engine.run_result ~backend:`Xquery_text m S.Deptdb.instance) in
         checkb "tgd = xq" true (Node.equal a b);
         checkb "tgd = xq-text" true (Node.equal a c);
         let first = List.hd (Node.children_named (Node.as_element a) "project-emp") in
@@ -526,8 +532,8 @@ let combination_tests =
                 (path "target.department.@numEmps");
             ]
         in
-        let a = Clip_core.Engine.run ~backend:`Tgd m S.Deptdb.instance in
-        let b = Clip_core.Engine.run ~backend:`Xquery m S.Deptdb.instance in
+        let a = get_ok (Clip_core.Engine.run_result ~backend:`Tgd m S.Deptdb.instance) in
+        let b = get_ok (Clip_core.Engine.run_result ~backend:`Xquery m S.Deptdb.instance) in
         checkb "agree" true (Node.equal a b);
         let ict = List.hd (Node.children_named (Node.as_element a) "department") in
         checkb "min" true (Node.attr ict "numProj" = Some (Atom.Int 10000));
@@ -568,8 +574,8 @@ let deeper_combination_tests =
             ]
         in
         checkb "valid" true (Clip_core.Validity.is_valid m);
-        let a = Clip_core.Engine.run ~backend:`Tgd m S.Deptdb.instance in
-        let b = Clip_core.Engine.run ~backend:`Xquery m S.Deptdb.instance in
+        let a = get_ok (Clip_core.Engine.run_result ~backend:`Tgd m S.Deptdb.instance) in
+        let b = get_ok (Clip_core.Engine.run_result ~backend:`Xquery m S.Deptdb.instance) in
         checkb "backends agree" true (Node.equal a b);
         let d = List.hd (Node.children_named (Node.as_element a) "D") in
         let e = List.hd (Node.children_named d "E") in
@@ -608,8 +614,8 @@ let deeper_combination_tests =
                 (path "t.department.project.@name");
             ]
         in
-        let a = Clip_core.Engine.run ~backend:`Tgd m S.Deptdb.instance in
-        let b = Clip_core.Engine.run ~backend:`Xquery m S.Deptdb.instance in
+        let a = get_ok (Clip_core.Engine.run_result ~backend:`Tgd m S.Deptdb.instance) in
+        let b = get_ok (Clip_core.Engine.run_result ~backend:`Xquery m S.Deptdb.instance) in
         checkb "backends agree" true (Node.equal a b);
         (* per-dept distinct names: ICT {Appliances, Robotics},
            Marketing {Brand promotion, Appliances} -> 2 + 2 *)
@@ -668,8 +674,8 @@ let deeper_combination_tests =
                 </dept>
               </source>|}
         in
-        let a = Clip_core.Engine.run ~backend:`Tgd m instance in
-        let b = Clip_core.Engine.run ~backend:`Xquery m instance in
+        let a = get_ok (Clip_core.Engine.run_result ~backend:`Tgd m instance) in
+        let b = get_ok (Clip_core.Engine.run_result ~backend:`Xquery m instance) in
         checkb "backends agree" true (Node.equal_unordered a b);
         checki "1 project" 1 (Node.count_elements a "project");
         (* the two Anns collapse into one grouped employee *)
@@ -677,7 +683,7 @@ let deeper_combination_tests =
     Alcotest.test_case "mapping composition: pipe fig7's output onward" `Quick
       (fun () ->
         (* the target of one mapping is the source of the next *)
-        let stage1 = Clip_core.Engine.run S.Figures.fig7.mapping S.Deptdb.instance in
+        let stage1 = get_ok (Clip_core.Engine.run_result S.Figures.fig7.mapping S.Deptdb.instance) in
         let summary_target =
           Clip_schema.Dsl.parse
             {|schema summary { row [0..*] { @project: string @headcount: int } }|}
@@ -699,7 +705,7 @@ let deeper_combination_tests =
                 (path "summary.row.@headcount");
             ]
         in
-        let out = Clip_core.Engine.run m2 stage1 in
+        let out = get_ok (Clip_core.Engine.run_result m2 stage1) in
         let rows = Node.children_named (Node.as_element out) "row" in
         checki "3 rows" 3 (List.length rows);
         let appliances = List.hd rows in

@@ -6,12 +6,19 @@ module S = Clip_scenarios
 module Node = Clip_xml.Node
 module Engine = Clip_core.Engine
 
+(* A result-returning run's value, or the test fails with its
+   diagnostics. *)
+let get_ok = function
+  | Ok v -> v
+  | Error ds -> Alcotest.fail (Clip_diag.render_list ds)
+
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
 let run ?backend (sc : S.Figures.t) =
-  Engine.run ?backend ~minimum_cardinality:sc.minimum_cardinality sc.mapping
-    S.Deptdb.instance
+  get_ok
+    (Engine.run_result ?backend ~minimum_cardinality:sc.minimum_cardinality sc.mapping
+       S.Deptdb.instance)
 
 let expected_tests =
   List.filter_map
@@ -139,8 +146,9 @@ let robustness_tests =
         List.iter
           (fun (sc : S.Figures.t) ->
             let out =
-              Engine.run ~minimum_cardinality:sc.minimum_cardinality sc.mapping
-                empty_source
+              get_ok
+                (Engine.run_result ~minimum_cardinality:sc.minimum_cardinality sc.mapping
+                   empty_source)
             in
             checkb (sc.name ^ " empty-ish") true (Node.size out >= 1))
           S.Figures.all);
@@ -149,15 +157,16 @@ let robustness_tests =
         List.iter
           (fun (sc : S.Figures.t) ->
             ignore
-              (Engine.run ~minimum_cardinality:sc.minimum_cardinality sc.mapping
-                 one_dept))
+              (get_ok
+                 (Engine.run_result ~minimum_cardinality:sc.minimum_cardinality sc.mapping
+                    one_dept)))
           S.Figures.all);
     Alcotest.test_case "backends agree on degenerate instances too" `Quick (fun () ->
         List.iter
           (fun (sc : S.Figures.t) ->
             if sc.minimum_cardinality then begin
-              let a = Engine.run ~backend:`Tgd sc.mapping one_dept in
-              let b = Engine.run ~backend:`Xquery sc.mapping one_dept in
+              let a = get_ok (Engine.run_result ~backend:`Tgd sc.mapping one_dept) in
+              let b = get_ok (Engine.run_result ~backend:`Xquery sc.mapping one_dept) in
               checkb (sc.name ^ " agree") true (Node.equal a b)
             end)
           S.Figures.all);
@@ -165,13 +174,18 @@ let robustness_tests =
       `Quick (fun () ->
         let wrong = Clip_xml.Parser.parse_string "<sauce><dept/></sauce>" in
         List.iter
-          (fun backend ->
-            checkb "raises" true
-              (match Engine.run ~backend S.Figures.fig4.mapping wrong with
-               | exception Clip_tgd.Eval.Error _ -> true
-               | exception Clip_xquery.Eval.Error _ -> true
-               | _ -> false))
-          [ `Tgd; `Xquery; `Xquery_text ]);
+          (fun (backend, code) ->
+            let codes =
+              match Engine.run_result ~backend S.Figures.fig4.mapping wrong with
+              | Ok _ -> []
+              | Error ds -> List.map (fun (d : Clip_diag.t) -> d.code) ds
+            in
+            Alcotest.(check (list string)) "error code" [ code ] codes)
+          [
+            (`Tgd, "CLIP-TGD-001");
+            (`Xquery, "CLIP-XQ-002");
+            (`Xquery_text, "CLIP-XQ-002");
+          ]);
     Alcotest.test_case "schema-invalid sources still transform (engines are lax)"
       `Quick (fun () ->
         (* a dept with no dname and a stray element: the engines copy
@@ -184,7 +198,7 @@ let robustness_tests =
         in
         checkb "instance is invalid" false
           (Clip_schema.Validate.is_valid S.Deptdb.source messy);
-        let out = Engine.run S.Figures.fig3.mapping messy in
+        let out = get_ok (Engine.run_result S.Figures.fig3.mapping messy) in
         checki "Zoe mapped" 1 (Node.count_elements out "employee"));
     Alcotest.test_case "missing optional leaves are skipped, not errors" `Quick
       (fun () ->
@@ -196,7 +210,7 @@ let robustness_tests =
         in
         (* fig3 filters on sal; a regEmp without sal simply never
            satisfies the predicate *)
-        let out = Engine.run S.Figures.fig3.mapping partial in
+        let out = get_ok (Engine.run_result S.Figures.fig3.mapping partial) in
         checki "no employees" 0 (Node.count_elements out "employee"));
   ]
 

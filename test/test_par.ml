@@ -11,6 +11,12 @@ module Node = Clip_xml.Node
 module Engine = Clip_core.Engine
 module C = Clip_obs.Counters
 
+(* A result-returning run's value, or the test fails with its
+   diagnostics. *)
+let get_ok = function
+  | Ok v -> v
+  | Error ds -> Alcotest.fail (Clip_diag.render_list ds)
+
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
@@ -30,8 +36,9 @@ let batch seeds =
 let eval (sc : S.Figures.t) ~backend ~obs doc =
   let ctx = Clip_run.create ?counters:obs () in
   Clip_xml.Printer.to_pretty_string
-    (Engine.run ~ctx ~backend
-       ~minimum_cardinality:sc.minimum_cardinality sc.mapping doc)
+    (get_ok
+       (Engine.run_result ~ctx ~backend
+          ~minimum_cardinality:sc.minimum_cardinality sc.mapping doc))
 
 let backends_of (sc : S.Figures.t) =
   if sc.minimum_cardinality then [ ("tgd", `Tgd); ("xquery", `Xquery) ]
@@ -189,8 +196,8 @@ let test_session_memo_per_ctx () =
      memo is keyed on the document, re-created on change, never reused
      across documents. *)
   let ctx = Clip_run.create () in
-  let direct doc = Engine.run ~backend:`Tgd sc.mapping doc in
-  let via_ctx doc = Engine.run ~ctx ~backend:`Tgd sc.mapping doc in
+  let direct doc = get_ok (Engine.run_result ~backend:`Tgd sc.mapping doc) in
+  let via_ctx doc = get_ok (Engine.run_result ~ctx ~backend:`Tgd sc.mapping doc) in
   List.iter
     (fun doc ->
       checkb "alternating docs through one ctx stays correct" true
@@ -200,9 +207,9 @@ let test_session_memo_per_ctx () =
      memo; a fresh context starts cold. *)
   let c = C.create () in
   let counting = Clip_run.create ~counters:c () in
-  ignore (Engine.run ~ctx:counting ~backend:`Tgd sc.mapping doc_a);
+  ignore (get_ok (Engine.run_result ~ctx:counting ~backend:`Tgd sc.mapping doc_a));
   let cold_hits = c.C.session_hits in
-  ignore (Engine.run ~ctx:counting ~backend:`Tgd sc.mapping doc_a);
+  ignore (get_ok (Engine.run_result ~ctx:counting ~backend:`Tgd sc.mapping doc_a));
   let warm_hits = c.C.session_hits - cold_hits in
   checkb
     (Printf.sprintf "warm ctx re-run hits the session memo (%d > %d)" warm_hits
@@ -211,8 +218,9 @@ let test_session_memo_per_ctx () =
   (* Contexts are isolated: warming one context never warms another. *)
   let c2 = C.create () in
   ignore
-    (Engine.run ~ctx:(Clip_run.create ~counters:c2 ()) ~backend:`Tgd sc.mapping
-       doc_a);
+    (get_ok
+       (Engine.run_result ~ctx:(Clip_run.create ~counters:c2 ()) ~backend:`Tgd sc.mapping
+          doc_a));
   checki "fresh ctx starts cold" cold_hits c2.C.session_hits
 
 (* --- Ordered streaming pipeline (stream_results) -------------------- *)

@@ -8,6 +8,12 @@ module Node = Clip_xml.Node
 module Atom = Clip_xml.Atom
 module Printer = Clip_xml.Printer
 
+(* A result-returning run's value, or the test fails with its
+   diagnostics. *)
+let get_ok = function
+  | Ok v -> v
+  | Error ds -> Alcotest.fail (Clip_diag.render_list ds)
+
 let checkb = Alcotest.(check bool)
 let checks = Alcotest.(check string)
 let checki = Alcotest.(check int)
@@ -767,9 +773,10 @@ let counted_run ?(repr = (`Tree : Clip_xml.Doc.repr)) (sc : S.Figures.t)
     ~backend ~plan doc =
   let session = Engine.Session.create doc in
   let run ?ctx () =
-    Engine.Session.run ?ctx ~backend
-      ~minimum_cardinality:sc.S.Figures.minimum_cardinality ~plan ~repr session
-      sc.S.Figures.mapping
+    get_ok
+      (Engine.Session.run_result ?ctx ~backend
+         ~minimum_cardinality:sc.S.Figures.minimum_cardinality ~plan ~repr session
+         sc.S.Figures.mapping)
   in
   ignore (run ());
   let c = C.create () in
@@ -799,7 +806,7 @@ let counter_invariants (sc : S.Figures.t) ~backend doc =
      counters: a claimed direct interpreter does exactly the naive
      oracle's work, and a claimed plan without the tag index never
      probes it. *)
-  let txt = Engine.explain ~backend ~plan:`Auto sc.S.Figures.mapping doc in
+  let txt = get_ok (Engine.explain_result ~backend ~plan:`Auto sc.S.Figures.mapping doc) in
   if contains txt "direct interpreter" then
     checkb "auto claims direct: work counters equal naive's" true
       (C.work_assoc ca = C.work_assoc cn)
@@ -833,8 +840,9 @@ let counter_tests =
              invariants must keep holding on the planner path *)
           let doc = S.Deptdb.synthetic_instance ~depts:8 ~projs:5 ~emps:10 in
           let txt =
-            Engine.explain ~backend:`Tgd ~plan:`Auto
-              S.Figures.fig6.S.Figures.mapping doc
+            get_ok
+              (Engine.explain_result ~backend:`Tgd ~plan:`Auto
+                 S.Figures.fig6.S.Figures.mapping doc)
           in
           checkb "no direct-interpreter claim" false
             (contains txt "direct interpreter");
@@ -845,8 +853,9 @@ let counter_tests =
           List.iter
             (fun plan ->
               let once () =
-                Engine.explain ~backend:`Tgd ~plan
-                  S.Figures.fig6.S.Figures.mapping S.Deptdb.instance
+                get_ok
+                  (Engine.explain_result ~backend:`Tgd ~plan
+                     S.Figures.fig6.S.Figures.mapping S.Deptdb.instance)
               in
               checks "two renders agree" (once ()) (once ()))
             [ `Naive; `Indexed; `Auto ]);
@@ -911,14 +920,15 @@ let repr_counter_tests =
         List.iter
           (fun label ->
             let warm =
-              Engine.Session.run ~plan:`Auto ~repr:`Columnar session
-                sc.S.Figures.mapping
+              get_ok
+                (Engine.Session.run_result ~plan:`Auto ~repr:`Columnar session
+                   sc.S.Figures.mapping)
             in
             checkb label true (Node.equal cold warm))
           [ "first columnar run"; "second columnar run" ];
         (* reprs can be mixed freely on one session *)
         let tree_again =
-          Engine.Session.run ~plan:`Auto ~repr:`Tree session sc.S.Figures.mapping
+          get_ok (Engine.Session.run_result ~plan:`Auto ~repr:`Tree session sc.S.Figures.mapping)
         in
         checkb "tree run on the same session" true (Node.equal cold tree_again));
   ]
@@ -938,9 +948,10 @@ let session_tests =
             List.iter
               (fun label ->
                 let warm =
-                  Engine.Session.run
-                    ~minimum_cardinality:sc.S.Figures.minimum_cardinality
-                    ~plan:`Auto session sc.S.Figures.mapping
+                  get_ok
+                    (Engine.Session.run_result
+                       ~minimum_cardinality:sc.S.Figures.minimum_cardinality
+                       ~plan:`Auto session sc.S.Figures.mapping)
                 in
                 checkb
                   (Printf.sprintf "%s %s run" sc.S.Figures.name label)
@@ -957,8 +968,9 @@ let session_tests =
               (fun backend ->
                 let direct = run_mode S.Figures.fig6 ~backend ~plan doc in
                 let via =
-                  Engine.Session.run ~backend ~plan session
-                    S.Figures.fig6.S.Figures.mapping
+                  get_ok
+                    (Engine.Session.run_result ~backend ~plan session
+                       S.Figures.fig6.S.Figures.mapping)
                 in
                 checkb "session agrees with direct run" true (Node.equal direct via))
               [ `Tgd; `Xquery ])
@@ -974,12 +986,14 @@ let session_tests =
         let sc = S.Figures.fig6 in
         let tgd = Clip_core.Compile.to_tgd sc.S.Figures.mapping in
         let direct =
-          Clip_tgd.Eval.run ~source:doc
-            ~target_root:sc.S.Figures.mapping.Clip_core.Mapping.target.root.name tgd
+          get_ok
+            (Clip_tgd.Eval.run_result ~source:doc
+               ~target_root:sc.S.Figures.mapping.Clip_core.Mapping.target.root.name tgd)
         in
         let via =
-          Clip_tgd.Eval.run ~session:tgd_session ~source:doc
-            ~target_root:sc.S.Figures.mapping.Clip_core.Mapping.target.root.name tgd
+          get_ok
+            (Clip_tgd.Eval.run_result ~session:tgd_session ~source:doc
+               ~target_root:sc.S.Figures.mapping.Clip_core.Mapping.target.root.name tgd)
         in
         checkb "identical" true (Node.equal direct via));
     Alcotest.test_case
@@ -993,12 +1007,12 @@ let session_tests =
            rather than serving the old document's. *)
         let sc = S.Figures.fig6 in
         let doc1 = S.Deptdb.synthetic_instance ~depts:6 ~projs:3 ~emps:5 in
-        let out1 = Engine.run sc.S.Figures.mapping doc1 in
+        let out1 = get_ok (Engine.run_result sc.S.Figures.mapping doc1) in
         (* the "edited" document: one more department *)
         let doc2 = S.Deptdb.synthetic_instance ~depts:7 ~projs:3 ~emps:5 in
-        let out2 = Engine.run sc.S.Figures.mapping doc2 in
+        let out2 = get_ok (Engine.run_result sc.S.Figures.mapping doc2) in
         let fresh =
-          Engine.Session.run (Engine.Session.create doc2) sc.S.Figures.mapping
+          get_ok (Engine.Session.run_result (Engine.Session.create doc2) sc.S.Figures.mapping)
         in
         checkb "recomputed for the new value" true (Node.equal out2 fresh);
         checkb "output reflects the new data" false
@@ -1009,11 +1023,11 @@ let session_tests =
         let tgd = Clip_core.Compile.to_tgd sc.S.Figures.mapping in
         let s1 = Clip_tgd.Eval.Session.create doc1 in
         (* warm s1's statistics, index and plan memos on doc1 ... *)
-        ignore (Clip_tgd.Eval.run ~session:s1 ~source:doc1 ~target_root tgd);
+        ignore (get_ok (Clip_tgd.Eval.run_result ~session:s1 ~source:doc1 ~target_root tgd));
         (* ... then run the changed document through the same session *)
-        let via = Clip_tgd.Eval.run ~session:s1 ~source:doc2 ~target_root tgd in
+        let via = get_ok (Clip_tgd.Eval.run_result ~session:s1 ~source:doc2 ~target_root tgd) in
         checkb "no stale statistics or plans" true
-          (Node.equal via (Clip_tgd.Eval.run ~source:doc2 ~target_root tgd)));
+          (Node.equal via (get_ok (Clip_tgd.Eval.run_result ~source:doc2 ~target_root tgd))));
   ]
 
 let () =

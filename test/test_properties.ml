@@ -7,6 +7,12 @@ module Node = Clip_xml.Node
 module Atom = Clip_xml.Atom
 module Engine = Clip_core.Engine
 
+(* A result-returning run's value, or the test fails with its
+   diagnostics. *)
+let get_ok = function
+  | Ok v -> v
+  | Error ds -> Alcotest.fail (Clip_diag.render_list ds)
+
 (* Random instances of the running source schema. *)
 let gen_instance =
   QCheck2.Gen.(
@@ -44,8 +50,8 @@ let agreement_props =
              ~name:(sc.name ^ ": tgd and xquery backends agree")
              gen_instance
              (fun doc ->
-               let a = Engine.run ~backend:`Tgd sc.mapping doc in
-               let b = Engine.run ~backend:`Xquery sc.mapping doc in
+               let a = get_ok (Engine.run_result ~backend:`Tgd sc.mapping doc) in
+               let b = get_ok (Engine.run_result ~backend:`Xquery sc.mapping doc) in
                Node.equal a b)))
     S.Figures.all
 
@@ -69,7 +75,7 @@ let fig3_count =
                    (Node.children_named d "regEmp")))
           0 (depts doc)
       in
-      let out = Engine.run S.Figures.fig3.mapping doc in
+      let out = get_ok (Engine.run_result S.Figures.fig3.mapping doc) in
       Node.count_elements out "employee" = expected
       && Node.count_elements out "department" = 1)
 
@@ -77,7 +83,7 @@ let fig4_shape =
   QCheck2.Test.make ~count:40
     ~name:"fig4: one department per dept, employees stay in their dept" gen_instance
     (fun doc ->
-      let out = Engine.run S.Figures.fig4.mapping doc in
+      let out = get_ok (Engine.run_result S.Figures.fig4.mapping doc) in
       let out_depts = Node.children_named (Node.as_element out) "department" in
       List.length out_depts = List.length (depts doc)
       && List.for_all2
@@ -112,7 +118,7 @@ let fig6_join_size =
                 0 projs)
           0 (depts doc)
       in
-      let out = Engine.run S.Figures.fig6.mapping doc in
+      let out = get_ok (Engine.run_result S.Figures.fig6.mapping doc) in
       Node.count_elements out "project-emp" = expected)
 
 let fig7_group_cardinality =
@@ -126,7 +132,7 @@ let fig7_group_cardinality =
              (fun d -> List.filter_map pname (Node.children_named d "Proj"))
              (depts doc))
       in
-      let out = Engine.run S.Figures.fig7.mapping doc in
+      let out = get_ok (Engine.run_result S.Figures.fig7.mapping doc) in
       Node.count_elements out "project" = List.length distinct)
 
 let fig8_inversion =
@@ -134,7 +140,7 @@ let fig8_inversion =
     ~name:"fig8: each project lists the depts owning a Proj of that name"
     gen_instance
     (fun doc ->
-      let out = Engine.run S.Figures.fig8.mapping doc in
+      let out = get_ok (Engine.run_result S.Figures.fig8.mapping doc) in
       let projects = Node.children_named (Node.as_element out) "project" in
       List.for_all
         (fun proj ->
@@ -165,7 +171,7 @@ let fig8_inversion =
 let fig9_aggregates =
   QCheck2.Test.make ~count:40 ~name:"fig9: counts and averages recomputed" gen_instance
     (fun doc ->
-      let out = Engine.run S.Figures.fig9.mapping doc in
+      let out = get_ok (Engine.run_result S.Figures.fig9.mapping doc) in
       let out_depts = Node.children_named (Node.as_element out) "department" in
       List.length out_depts = List.length (depts doc)
       && List.for_all2
@@ -197,7 +203,7 @@ let fig5_containment =
     ~name:"fig5: projects and employees stay inside their own department"
     gen_instance
     (fun doc ->
-      let out = Engine.run S.Figures.fig5.mapping doc in
+      let out = get_ok (Engine.run_result S.Figures.fig5.mapping doc) in
       let out_depts = Node.children_named (Node.as_element out) "department" in
       List.length out_depts = List.length (depts doc)
       && List.for_all2
@@ -235,8 +241,8 @@ let repr_agreement =
         gen_instance
         (fun doc ->
           Node.equal
-            (Engine.run ~repr:`Tree sc.mapping doc)
-            (Engine.run ~repr:`Columnar sc.mapping doc)))
+            (get_ok (Engine.run_result ~repr:`Tree sc.mapping doc))
+            (get_ok (Engine.run_result ~repr:`Columnar sc.mapping doc))))
     S.Figures.all
 
 (* --- Conformance modulo minimum cardinality -------------------------------- *)
@@ -249,7 +255,7 @@ let conformance =
         gen_instance
         (fun doc ->
           let out =
-            Engine.run ~minimum_cardinality:sc.minimum_cardinality sc.mapping doc
+            get_ok (Engine.run_result ~minimum_cardinality:sc.minimum_cardinality sc.mapping doc)
           in
           List.for_all
             (fun (v : Clip_schema.Validate.violation) ->
@@ -399,8 +405,8 @@ let pipeline_prop =
           ~fanout:3 m.source
       in
       (* 2. both backends agree on random instances *)
-      let a = Engine.run ~backend:`Tgd clip doc in
-      let b = Engine.run ~backend:`Xquery clip doc in
+      let a = get_ok (Engine.run_result ~backend:`Tgd clip doc) in
+      let b = get_ok (Engine.run_result ~backend:`Xquery clip doc) in
       Node.equal a b
       &&
       (* 3. the output validates modulo minimum-cardinality gaps *)
@@ -415,8 +421,9 @@ let pipeline_prop =
       &&
       (* 4. the generated tgd is equivalent to the Clip mapping *)
       let via_tgd =
-        Clip_tgd.Eval.run ~source:doc ~target_root:"tgt"
-          (Clip_clio.Generate.to_tgd m forest)
+        get_ok
+          (Clip_tgd.Eval.run_result ~source:doc ~target_root:"tgt"
+             (Clip_clio.Generate.to_tgd m forest))
       in
       Node.equal_unordered via_tgd a)
 
@@ -562,8 +569,8 @@ let rel_backend_identity =
       let m = identity_mapping (Rel.to_schema db) in
       let doc = Rel.instance db rows in
       Node.equal
-        (Engine.run ~backend:`Tgd m doc)
-        (Engine.run ~backend:`Rel m doc))
+        (get_ok (Engine.run_result ~backend:`Tgd m doc))
+        (get_ok (Engine.run_result ~backend:`Rel m doc)))
 
 let to_alcotest = List.map QCheck_alcotest.to_alcotest
 

@@ -11,6 +11,12 @@ module Shape = Clip_rel.Shape
 module Program = Clip_rel.Program
 module Sql = Clip_rel.Sql
 
+(* A result-returning run's value, or the test fails with its
+   diagnostics. *)
+let get_ok = function
+  | Ok v -> v
+  | Error ds -> Alcotest.fail (Clip_diag.render_list ds)
+
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
@@ -80,12 +86,12 @@ let grants_instance n =
 
 let differential name mapping source =
   Alcotest.test_case name `Quick (fun () ->
-      let expected = Engine.run ~backend:`Tgd mapping source in
+      let expected = get_ok (Engine.run_result ~backend:`Tgd mapping source) in
       List.iter
         (fun (plan, pname) ->
           List.iter
             (fun (repr, rname) ->
-              let out = Engine.run ~backend:`Rel ~plan ~repr mapping source in
+              let out = get_ok (Engine.run_result ~backend:`Rel ~plan ~repr mapping source) in
               checkb
                 (Printf.sprintf "%s/%s identical" pname rname)
                 true (Node.equal expected out))
@@ -141,22 +147,22 @@ let differential_tests =
       grants_mapping (grants_instance 20);
     Alcotest.test_case "sharded/auto modes agree too" `Quick (fun () ->
         let source = grants_instance 10 in
-        let expected = Engine.run ~backend:`Tgd grants_mapping source in
+        let expected = get_ok (Engine.run_result ~backend:`Tgd grants_mapping source) in
         List.iter
           (fun mode ->
             checkb "identical" true
               (Node.equal expected
-                 (Engine.run ~backend:`Rel ~mode ~jobs:2 grants_mapping source)))
+                 (get_ok (Engine.run_result ~backend:`Rel ~mode ~jobs:2 grants_mapping source))))
           [ `Whole; `Sharded; `Auto ]);
     Alcotest.test_case "engine sessions reuse rel state across runs" `Quick
       (fun () ->
         let source = grants_instance 5 in
         let s = Engine.Session.create source in
-        let expected = Engine.Session.run ~backend:`Tgd s grants_mapping in
+        let expected = get_ok (Engine.Session.run_result ~backend:`Tgd s grants_mapping) in
         for _ = 1 to 3 do
           checkb "identical" true
             (Node.equal expected
-               (Engine.Session.run ~backend:`Rel s grants_mapping))
+               (get_ok (Engine.Session.run_result ~backend:`Rel s grants_mapping)))
         done);
   ]
 
@@ -201,8 +207,8 @@ let error_tests =
       (fun () ->
         checkb "raises" true
           (match
-             Engine.run ~backend:`Rel ~minimum_cardinality:false grants_mapping
-               (grants_instance 2)
+             Engine.run_result ~backend:`Rel ~minimum_cardinality:false
+               grants_mapping (grants_instance 2)
            with
            | exception Invalid_argument _ -> true
            | _ -> false));
@@ -214,7 +220,7 @@ let sql_tests =
         let m = grants_mapping in
         let tgd = Clip_core.Compile.to_tgd m in
         let prog =
-          Program.compile ~source:m.source ~target_root:m.target.root.name tgd
+          get_ok (Program.compile_result ~source:m.source ~target_root:m.target.root.name tgd)
         in
         let sql = Sql.of_program prog in
         let contains sub =
@@ -235,8 +241,8 @@ let sql_tests =
     Alcotest.test_case "explain is deterministic and names the backend" `Quick
       (fun () ->
         let source = grants_instance 3 in
-        let e1 = Engine.explain ~backend:`Rel grants_mapping source in
-        let e2 = Engine.explain ~backend:`Rel grants_mapping source in
+        let e1 = get_ok (Engine.explain_result ~backend:`Rel grants_mapping source) in
+        let e2 = get_ok (Engine.explain_result ~backend:`Rel grants_mapping source) in
         checks "stable" e1 e2;
         checkb "header" true
           (String.length e1 > 12 && String.equal (String.sub e1 0 12) "backend: rel"));
@@ -259,7 +265,7 @@ let scaling_tests =
       (fun () ->
         let expected =
           List.map
-            (fun (n, src) -> (n, Engine.run ~backend:`Tgd ~plan:`Naive grants_mapping src))
+            (fun (n, src) -> (n, get_ok (Engine.run_result ~backend:`Tgd ~plan:`Naive grants_mapping src)))
             sources
         in
         List.iter
@@ -270,7 +276,7 @@ let scaling_tests =
                   List.map
                     (fun (n, src) ->
                       let steps_out = ref 0 in
-                      let out = Engine.run ~backend ~plan ~steps_out grants_mapping src in
+                      let out = get_ok (Engine.run_result ~backend ~plan ~steps_out grants_mapping src) in
                       checkb
                         (Printf.sprintf "%s/%s at %d: same output as naive" bname pname n)
                         true
@@ -294,14 +300,14 @@ let scaling_tests =
     Alcotest.test_case "explain shows the hoisted probe and no tag index" `Quick
       (fun () ->
         let source = grants_instance 100 in
-        let tgd = Engine.explain ~backend:`Tgd grants_mapping source in
+        let tgd = get_ok (Engine.explain_result ~backend:`Tgd grants_mapping source) in
         checkb "tgd strategy" true
           (contains tgd
              "strategy: physical plans, cost-based joins; tag index off (straight-line \
               plan, no element revisits)\n");
         List.iter
           (fun backend ->
-            let e = Engine.explain ~backend grants_mapping source in
+            let e = get_ok (Engine.explain_result ~backend grants_mapping source) in
             checkb "hoisted probe" true
               (contains e "stage 0: hash probe g (built once per run, est ");
             checkb "plan" true (contains e "plan: probe(g@run)"))

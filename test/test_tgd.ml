@@ -253,7 +253,21 @@ let source_doc =
         </dept>
       </source>|}
 
-let run ?minimum_cardinality m = Eval.run ?minimum_cardinality ~source:source_doc ~target_root:"target" m
+let run_result ?minimum_cardinality m =
+  Eval.run_result ?minimum_cardinality ~source:source_doc ~target_root:"target" m
+
+let run ?minimum_cardinality m =
+  match run_result ?minimum_cardinality m with
+  | Ok out -> out
+  | Error ds -> Alcotest.fail (Clip_diag.render_list ds)
+
+(* The diagnostic codes of a failed run ([] when it succeeds). *)
+let error_codes m =
+  match run_result m with
+  | Ok _ -> []
+  | Error ds -> List.map (fun (d : Clip_diag.t) -> d.code) ds
+
+let check_codes = Alcotest.(check (list string))
 
 let eval_tests =
   [
@@ -306,8 +320,7 @@ let eval_tests =
               ]
             ()
         in
-        checkb "raises" true
-          (match run m with exception Eval.Error _ -> true | _ -> false));
+        check_codes "CLIP-TGD-001" [ "CLIP-TGD-001" ] (error_codes m));
     Alcotest.test_case "equal re-assignments are fine" `Quick (fun () ->
         let m =
           Tgd.make
@@ -421,8 +434,7 @@ let eval_tests =
               ]
             ()
         in
-        checkb "raises" true
-          (match run m with exception Eval.Error _ -> true | _ -> false));
+        check_codes "CLIP-TGD-001" [ "CLIP-TGD-001" ] (error_codes m));
     Alcotest.test_case "intermediate singleton elements materialise on demand" `Quick
       (fun () ->
         let m =
@@ -443,8 +455,7 @@ let eval_tests =
         checkb "x" true (Node.attr info "x" = Some (Atom.String "ICT")));
     Alcotest.test_case "wrong source root errors" `Quick (fun () ->
         let m = Tgd.make ~foralls:[ Tgd.source_gen "x" (Term.of_path (path "bogus.a")) ] () in
-        checkb "raises" true
-          (match run m with exception Eval.Error _ -> true | _ -> false));
+        check_codes "CLIP-TGD-001" [ "CLIP-TGD-001" ] (error_codes m));
   ]
 
 let () =

@@ -24,7 +24,18 @@ let input =
         </dept>
       </source>|}
 
-let run e = Eval.run ~input e
+let run e =
+  match Eval.run_result ~input e with
+  | Ok v -> v
+  | Error ds -> Alcotest.fail (Clip_diag.render_list ds)
+
+(* The diagnostic codes of a failed run ([] when it succeeds). *)
+let error_codes e =
+  match Eval.run_result ~input e with
+  | Ok _ -> []
+  | Error ds -> List.map (fun (d : Clip_diag.t) -> d.code) ds
+
+let check_codes = Alcotest.(check (list string))
 
 let atoms e = Value.atomize (run e)
 
@@ -73,10 +84,7 @@ let path_tests =
     Alcotest.test_case "missing step yields empty" `Quick (fun () ->
         checki "none" 0 (List.length (run (doc_path [ Ast.Child_step "bogus" ]))));
     Alcotest.test_case "wrong document root errors" `Quick (fun () ->
-        checkb "raises" true
-          (match run (Ast.Doc "other") with
-           | exception Eval.Error _ -> true
-           | _ -> false));
+        check_codes "CLIP-XQ-002" [ "CLIP-XQ-002" ] (error_codes (Ast.Doc "other")));
   ]
 
 (* --- FLWOR -------------------------------------------------------------------- *)
@@ -135,10 +143,7 @@ let flwor_tests =
         let q = Ast.If (Ast.Cmp (Ast.Lt, Ast.int 1, Ast.int 2), Ast.str "a", Ast.str "b") in
         checkb "a" true (atoms q = [ Atom.String "a" ]));
     Alcotest.test_case "unbound variable errors" `Quick (fun () ->
-        checkb "raises" true
-          (match run (Ast.var "nope") with
-           | exception Eval.Error _ -> true
-           | _ -> false));
+        check_codes "CLIP-XQ-002" [ "CLIP-XQ-002" ] (error_codes (Ast.var "nope")));
   ]
 
 (* --- Constructors ---------------------------------------------------------------- *)
@@ -213,18 +218,12 @@ let function_tests =
           (atoms (Ast.call "exists" [ doc_path [ Ast.Child_step "dept" ] ]) = [ Atom.Bool true ]);
         checkb "not" true (atoms (Ast.call "not" [ Ast.int 0 ]) = [ Atom.Bool true ]));
     Alcotest.test_case "unknown function errors" `Quick (fun () ->
-        checkb "raises" true
-          (match run (Ast.call "frobnicate" [ Ast.int 1 ]) with
-           | exception Eval.Error _ -> true
-           | _ -> false));
+        check_codes "CLIP-XQ-002" [ "CLIP-XQ-002" ] (error_codes (Ast.call "frobnicate" [ Ast.int 1 ])));
     Alcotest.test_case "arithmetic" `Quick (fun () ->
         checkb "int add" true (atoms (Ast.Arith (Ast.Add, Ast.int 2, Ast.int 3)) = [ Atom.Int 5 ]);
         checkb "division" true
           (atoms (Ast.Arith (Ast.Div, Ast.int 7, Ast.int 2)) = [ Atom.Float 3.5 ]);
-        checkb "div by zero raises" true
-          (match run (Ast.Arith (Ast.Div, Ast.int 1, Ast.int 0)) with
-           | exception Eval.Error _ -> true
-           | _ -> false));
+        check_codes "CLIP-XQ-002" [ "CLIP-XQ-002" ] (error_codes (Ast.Arith (Ast.Div, Ast.int 1, Ast.int 0))));
   ]
 
 (* --- Pretty printer ------------------------------------------------------------------- *)
