@@ -329,16 +329,19 @@ let run_cmd =
        | Some source when trace ->
          (* The lineage re-run gets a throwaway context: it is
             bookkeeping, not the measured evaluation, so it must not
-            inflate the run's counters (or spans). *)
-         let lineage_ctx = Clip_run.create () in
+            inflate the run's counters (or its compile and execute
+            spans). Its wall time is still the user's, so it gets a
+            phase of its own. *)
          let entries =
-           match
-             Clip_core.Engine.run_traced_result ~ctx:lineage_ctx ~plan m source
-           with
-           | Ok (_, entries) -> entries
-           | Error ds ->
-             report ds;
-             []
+           Clip_obs.Trace.span tracer "lineage" (fun () ->
+               let lineage_ctx = Clip_run.create () in
+               match
+                 Clip_core.Engine.run_traced_result ~ctx:lineage_ctx ~plan m source
+               with
+               | Ok (_, entries) -> entries
+               | Error ds ->
+                 report ds;
+                 [])
          in
          Buffer.add_char b '\n';
          List.iter

@@ -14,12 +14,17 @@
      contiguous chain of generators feeding it, when that chain is
      independent of the probe side — into a hash-table probe, built
      once per environment in which the segment's inputs are fixed;
-   - hoisted probes: a correlated equality, whose probe side is bound
-     entirely by the enclosing rules (a nested child rule joined to
-     its parent's variable), turns a segment that reads nothing
-     outside itself into a probe whose document-invariant table is
-     built once per run, lazily at the first probe, into a per-run
-     [Run.t] handle — not re-scanned once per parent binding;
+   - memoised probes: a segment that reads nothing outside itself but
+     the enclosing rules' variables is a function of the items those
+     variables are bound to. A correlated equality (a nested child
+     rule joined to its parent's variable), or a chain-internal one
+     whose per-step build does not pay, turns it into a probe whose
+     table lives in a per-run [Run.t] slot, tagged with those items:
+     built at the second probe with the same items (the first scans)
+     and kept until they change — not re-scanned once per parent
+     binding. A segment that reads no enclosing variable is the
+     zero-read case: its document-invariant table is built once per
+     run;
    - streaming execution: bindings are folded into an [emit] callback
      instead of being materialised as a list.
 
@@ -109,20 +114,21 @@ and ('env, 'item) probe = {
 }
 
 (* When a probe's table is built. [At i]: on entry to step [i], once
-   per binding of the steps before it. [Per_run id]: a hoisted probe
-   of a correlated child rule — the segment reads nothing outside
-   itself, so its table is document-invariant and is built once per
-   run, lazily at the first probe, into the {!Run.t} handle under
-   [id]. *)
-and build = At of int | Per_run of int
+   per binding of the steps before it. [Memo]: the segment reads
+   nothing outside itself but the enclosing variables [reads], so its
+   table is a function of their items; it lives in the {!Run.t} slot
+   [id] next to those items, built at the second probe that brings
+   them and kept until they change. With no reads the table is
+   document-invariant and built once per run, at the first probe. *)
+and build = At of int | Memo of { id : int; reads : string list }
 
 type ('env, 'item) t = {
   pre : 'env pred list;  (** conditions decided by the outer environment *)
   stages : ('env, 'item) stage array;  (** steps, in enumeration order *)
   builds : int list array;
       (** [builds.(i)]: probe steps whose table is built on entry to
-          step [i] (once per binding of the steps [< i]); hoisted
-          ([Per_run]) probes are built lazily and never listed here *)
+          step [i] (once per binding of the steps [< i]); memoised
+          probes are built lazily and never listed here *)
   nslots : int;
   notes : string list;
       (** planner decisions, one line per equality condition: the
@@ -131,6 +137,7 @@ type ('env, 'item) t = {
 
 let stage_gens = function Scan { gen; _ } -> [| gen |] | Probe { gens; _ } -> gens
 let est_str = function Some e -> string_of_int e | None -> "?"
+let reads_str reads = String.concat "," reads
 
 let describe t =
   String.concat " "
@@ -143,7 +150,10 @@ let describe t =
             | Probe { gens; build; _ } ->
               Printf.sprintf "probe(%s@%s)"
                 (String.concat "." (Array.to_list (Array.map (fun g -> g.var) gens)))
-                (match build with At i -> string_of_int i | Per_run _ -> "run"))
+                (match build with
+                 | At i -> string_of_int i
+                 | Memo { reads = []; _ } -> "run"
+                 | Memo { reads; _ } -> reads_str reads))
           t.stages))
 
 (* --- Cost model --------------------------------------------------------- *)
@@ -196,7 +206,8 @@ let explain t =
           (String.concat "." (Array.to_list (Array.map (fun g -> g.var) gens)))
           (match build with
            | At k -> Printf.sprintf "built at step %d" k
-           | Per_run _ -> "built once per run")
+           | Memo { reads = []; _ } -> "built once per run"
+           | Memo { reads; _ } -> "built once per binding of " ^ reads_str reads)
           (est_str (est_product gens))
           (filters "residual filter" (List.length preds)))
     t.stages;
@@ -205,9 +216,9 @@ let explain t =
 
 (* --- Planning ---------------------------------------------------------- *)
 
-(* Keys of hoisted tables in a {!Run.t}: unique across every plan of
+(* Keys of memoised tables in a {!Run.t}: unique across every plan of
    the process, so one handle serves all the plans of a mapping tree. *)
-let hoist_ids = Atomic.make 0
+let memo_ids = Atomic.make 0
 
 let plan ?(policy = `Force) ~bound ~gens ~conds () =
   (* Fault boundary: planning happens inside the backends' guarded
@@ -325,6 +336,30 @@ let plan ?(policy = `Force) ~bound ~gens ~conds () =
               done;
               seg_start.(g) <- Some (s, slot, build_point, build, probe)
             in
+            (* The shortest memoisable segment [g..s] with [g >= lo],
+               and the enclosing variables it reads. Everything it
+               reads from outside itself must be bound by the enclosing
+               rules ([level = 0]), and the probe side must read a
+               variable the segment does not: otherwise every probe
+               arrives with fresh enclosing items and the slot would
+               only rebuild. (Shortest first: a longer segment reads no
+               fewer enclosing variables and builds a bigger table.) *)
+            let rec memo_segment lo g =
+              if g < lo || claimed.(g) then None
+              else
+                let reads = List.sort_uniq String.compare (ext g) in
+                if
+                  level reads = 0
+                  && List.exists (fun v -> not (List.mem v reads)) probe.kvars
+                then Some (g, reads)
+                else memo_segment lo (g - 1)
+            in
+            let memo g reads =
+              claim g (Memo { id = Atomic.fetch_and_add memo_ids 1; reads })
+            in
+            let built reads =
+              if reads = [] then "once per run" else "once per binding of " ^ reads_str reads
+            in
             let lp = level probe.kvars in
             if lp >= 1 then begin
               (* An equi-join between generators of this chain. [bp] is
@@ -352,13 +387,29 @@ let plan ?(policy = `Force) ~bound ~gens ~conds () =
                 else if level (ext g) < g && cost_ok g then Some g
                 else pick (g - 1)
               in
+              (* When the per-step build does not pay, a nested chain
+                 ([bound <> []], run once per enclosing binding) can
+                 still keep a table across its runs: a segment reading
+                 only enclosing variables is memoised on their items,
+                 so a table is built only once two probes in a row
+                 share them (fig. 7: [r in d.regEmp], probed once per
+                 project [p2] of the department [d]). *)
               match pick s with
               | None ->
                 (match !cost_rejected with
                  | Some (outer, seg) ->
-                   note
-                     "eq(%s): hash join rejected by cost model (outer~%s, seg~%s: join does not pay)"
-                     vars (est_str outer) (est_str seg)
+                   (match if bound = [] then None else memo_segment lp s with
+                    | Some (g, reads) ->
+                      note
+                        "eq(%s): hoisted hash join over %s, built %s (a per-step build does not pay: outer~%s, seg~%s)"
+                        vars (seg_vars g) (built reads)
+                        (est_str (est_range 0 (g - 1)))
+                        (est_str (est_range g s));
+                      memo g reads
+                    | None ->
+                      note
+                        "eq(%s): hash join rejected by cost model (outer~%s, seg~%s: join does not pay)"
+                        vars (est_str outer) (est_str seg))
                  | None ->
                    note "eq(%s): no independent feeder segment, kept as pushed-down filter"
                      vars)
@@ -383,29 +434,28 @@ let plan ?(policy = `Force) ~bound ~gens ~conds () =
                  build keys) enumerates the same tuples under every
                  enclosing binding, so its table is document-invariant
                  and is hoisted: built once per run, at the first
-                 probe, and shared by every later probe. The build
-                 replaces at least the one enumeration the first probe
-                 would have scanned anyway, so no cost check is needed. *)
-              let rec pick g =
-                if g < 0 || claimed.(g) then None
-                else if ext g = [] then Some g
-                else pick (g - 1)
-              in
-              match pick s with
+                 probe, and shared by every later probe. A segment that
+                 also reads enclosing variables ([r in d.regEmp where
+                 r.@pid = pj.@pid]) is memoised on their items instead.
+                 A memoised probe never costs more than the filter: a
+                 build replaces at least the one enumeration its probe
+                 would have scanned anyway, and a probe whose items do
+                 not repeat scans. So no cost check is needed. *)
+              match memo_segment 0 s with
               | None ->
                 note "eq(%s): probe side reads no chain generator, kept as pushed-down filter"
                   vars
-              | Some g ->
+              | Some (g, reads) ->
                 (match policy with
                  | `Force ->
-                   note "eq(%s): hoisted hash join over %s, built once per run (forced)" vars
-                     (seg_vars g)
+                   note "eq(%s): hoisted hash join over %s, built %s (forced)" vars
+                     (seg_vars g) (built reads)
                  | `Cost ->
                    note
-                     "eq(%s): hoisted hash join over %s, built once per run (probe keys from the enclosing rules, seg~%s)"
-                     vars (seg_vars g)
+                     "eq(%s): hoisted hash join over %s, built %s (probe keys from the enclosing rules, seg~%s)"
+                     vars (seg_vars g) (built reads)
                      (est_str (est_range g s)));
-                claim g (Per_run (Atomic.fetch_and_add hoist_ids 1))
+                memo g reads
             end
             else
               (* Structural guard, independent of the cost model: an
@@ -467,14 +517,14 @@ let plan ?(policy = `Force) ~bound ~gens ~conds () =
       match step with
       | Probe ({ build = At lvl; _ } as p) ->
         stages.(idx) <- Probe { p with build = At (step_of_level lvl) }
-      | Probe { build = Per_run _; _ } | Scan _ -> ())
+      | Probe { build = Memo _; _ } | Scan _ -> ())
     stages;
   let builds = Array.make (Array.length stages + 1) [] in
   Array.iteri
     (fun idx stage ->
       match stage with
       | Probe { build = At k; _ } -> builds.(k) <- idx :: builds.(k)
-      | Probe { build = Per_run _; _ } | Scan _ -> ())
+      | Probe { build = Memo _; _ } | Scan _ -> ())
     stages;
   Array.iteri (fun idx l -> builds.(idx) <- List.rev l) builds;
   { pre = List.rev preds_at.(0); stages; builds; nslots = !nslots; notes = List.rev !notes }
@@ -488,8 +538,9 @@ let plan ?(policy = `Force) ~bound ~gens ~conds () =
    immediately before it — its expression then re-enumerates the same
    elements once per binding of that variable. A straight-line chain
    (every scan reads the previous stage's variable) never revisits, so
-   indexing it only adds memoisation overhead; neither does a hoisted
-   probe, whose segment is enumerated once per run. *)
+   indexing it only adds memoisation overhead; neither does a memoised
+   probe, whose segment is enumerated once per run or once per binding
+   of the enclosing variables it reads. *)
 let revisit_prone t =
   let n = Array.length t.stages in
   let last_var i =
@@ -500,7 +551,7 @@ let revisit_prone t =
     i < n
     &&
     match t.stages.(i) with
-    | Probe { build = Per_run _; _ } -> go (i + 1)
+    | Probe { build = Memo _; _ } -> go (i + 1)
     | Probe { build = At _; _ } -> true
     | Scan { gen; _ } ->
       (i >= 1 && not (List.mem (last_var (i - 1)) gen.deps)) || go (i + 1)
@@ -515,14 +566,29 @@ module KeyTbl = Hashtbl.Make (Key)
    with its enumeration sequence number. *)
 type 'item table = (int * 'item list) KeyTbl.t
 
-module Run = struct
-  (* The hoisted tables of one run, keyed by [Per_run] id. A plan is
-     memoised per session and shared across runs and domains, so it
-     holds no table itself; each backend run creates one handle and
-     passes it to every execution of every plan of that run. *)
-  type 'item t = (int, 'item table) Hashtbl.t
+(* How the executor reads an enclosing variable's item out of an
+   environment, and when two such items are the same (node identity):
+   what a memoised probe compares to decide whether its table is
+   still good. *)
+type ('env, 'item) enclosing = {
+  find : 'env -> string -> 'item option;
+  same : 'item -> 'item -> bool;
+}
 
-  let create () : 'item t = Hashtbl.create 4
+module Run = struct
+  (* The memoised tables of one run: one slot per [Memo] id, holding
+     the enclosing items it was last probed with and, once a second
+     probe reused them, the table built for them. A plan is memoised
+     per session and shared across runs and domains, so it holds no
+     table itself; each backend run creates one handle, with its
+     reader of enclosing items, and passes it to every execution of
+     every plan of that run. *)
+  type ('env, 'item) t = {
+    enclosing : ('env, 'item) enclosing option;
+    slots : (int, 'item option list * 'item table option) Hashtbl.t;
+  }
+
+  let create ?enclosing () = { enclosing; slots = Hashtbl.create 4 }
 end
 
 (* Enumerate a probe's whole segment under [env] into a fresh table,
@@ -531,8 +597,10 @@ end
    tuple carries its enumeration sequence number; [Hashtbl.add] stacks
    (and resizing keeps the stacking order), so [find_all] lists a
    key's tuples newest first. Keys are deduped per tuple so a
-   multi-valued build side never yields the same tuple twice. *)
-let build_table ?obs (p : ('env, 'item) probe) ~(env : 'env) : 'item table =
+   multi-valued build side never yields the same tuple twice. [tick],
+   when given, fires once per enumerated item. *)
+let build_table ?obs ?(tick = ignore) (p : ('env, 'item) probe) ~(env : 'env) :
+    'item table =
   Clip_obs.hash_join_build obs;
   let gens = p.gens in
   let m = Array.length gens in
@@ -546,7 +614,9 @@ let build_table ?obs (p : ('env, 'item) probe) ~(env : 'env) : 'item table =
     end
     else
       List.iter
-        (fun item -> enum (d + 1) (gens.(d).bind env item) (item :: tuple_rev))
+        (fun item ->
+          tick ();
+          enum (d + 1) (gens.(d).bind env item) (item :: tuple_rev))
         (gens.(d).eval env)
   in
   enum 0 env [];
@@ -564,19 +634,40 @@ let build_into ?obs (t : ('env, 'item) t) (tables : 'item table option array)
   | Scan _ -> ()
 
 (* The table a probe reads under [env]: its per-step table, or for a
-   hoisted probe the run's table — built here, at the first probe of
-   the run, so nothing is built when the stage is never reached. *)
-let probe_table ?obs (run : 'item Run.t) (tables : 'item table option array)
-    (p : ('env, 'item) probe) ~(env : 'env) =
+   memoised probe the run's slot. A zero-read table never goes stale,
+   so it is built at the first probe. Otherwise the slot remembers the
+   enclosing items of the last probe, and a table is built only when
+   the next probe arrives with the same ones (by [same]; an unreadable
+   item never matches): a table that would serve a single probe costs
+   more to build than the scan it replaces, so a probe with fresh
+   items gets [None] and scans the segment instead. The slot holds one
+   table at a time. A build that may repeat ticks once per enumerated
+   item, as the scan it replaces would have; the zero-read build, once
+   per run, is not metered, like an [At] build. *)
+let probe_table ?obs ~tick (run : ('env, 'item) Run.t)
+    (tables : 'item table option array) (p : ('env, 'item) probe) ~(env : 'env) =
   match p.build with
-  | At _ -> (match tables.(p.slot) with Some tbl -> tbl | None -> assert false)
-  | Per_run id ->
-    (match Hashtbl.find_opt run id with
-     | Some tbl -> tbl
-     | None ->
-       let tbl = build_table ?obs p ~env in
-       Hashtbl.add run id tbl;
-       tbl)
+  | At _ -> (match tables.(p.slot) with Some _ as tbl -> tbl | None -> assert false)
+  | Memo { id; reads } ->
+    let items, same =
+      match run.enclosing with
+      | Some e ->
+        ( List.map (e.find env) reads,
+          fun a b -> match a, b with Some a, Some b -> e.same a b | _ -> false )
+      | None -> (List.map (fun _ -> None) reads, fun _ _ -> false)
+    in
+    let build ~tick =
+      let tbl = build_table ?obs ~tick p ~env in
+      Hashtbl.replace run.slots id (items, Some tbl);
+      Some tbl
+    in
+    (match Hashtbl.find_opt run.slots id with
+     | Some (built_for, tbl) when List.equal same built_for items ->
+       (match tbl with Some _ -> tbl | None -> build ~tick)
+     | _ when reads = [] -> build ~tick:ignore
+     | _ ->
+       Hashtbl.replace run.slots id (items, None);
+       None)
 
 (* Tuples of [tbl] matching any of [keys] (sorted, deduped), in
    enumeration (document) order. *)
@@ -603,21 +694,36 @@ let probe_tuples tbl keys =
 
 (* One probe of stage [p] under [env]: every matching tuple is bound
    back onto [env] (one [tick] per hit, as a scan ticks per item), and
-   the bindings that pass the residual predicates go to [k]. *)
+   the bindings that pass the residual predicates go to [k]. Without a
+   table the segment is scanned under [env], ticking per item: the
+   residual predicates include the original equality, so they alone
+   select the same tuples, in the same (enumeration) order. *)
 let probe_each ?obs run tables (p : ('env, 'item) probe) ~tick ~(env : 'env) k =
   Clip_obs.hash_join_probe obs;
-  let tbl = probe_table ?obs run tables p ~env in
-  List.iter
-    (fun tuple ->
-      tick ();
-      let env' =
-        List.fold_left (fun (d, env) item -> (d + 1, p.gens.(d).bind env item)) (0, env) tuple
-        |> snd
-      in
-      if List.for_all (fun q -> q.test env') p.preds then k env')
-    (probe_tuples tbl (List.sort_uniq compare (p.probe_keys env)))
+  let pass env' = if List.for_all (fun q -> q.test env') p.preds then k env' in
+  match probe_table ?obs ~tick run tables p ~env with
+  | Some tbl ->
+    List.iter
+      (fun tuple ->
+        tick ();
+        pass
+          (List.fold_left (fun (d, env) item -> (d + 1, p.gens.(d).bind env item)) (0, env) tuple
+          |> snd))
+      (probe_tuples tbl (List.sort_uniq compare (p.probe_keys env)))
+  | None ->
+    let m = Array.length p.gens in
+    let rec scan d env =
+      if d = m then pass env
+      else
+        List.iter
+          (fun item ->
+            tick ();
+            scan (d + 1) (p.gens.(d).bind env item))
+          (p.gens.(d).eval env)
+    in
+    scan 0 env
 
-let execute ?obs ~(run : 'item Run.t) (t : ('env, 'item) t) ~(tick : unit -> unit)
+let execute ?obs ~(run : ('env, 'item) Run.t) (t : ('env, 'item) t) ~(tick : unit -> unit)
     ~(env : 'env) ~(emit : 'env -> unit) : unit =
   let n = Array.length t.stages in
   let tables : 'item table option array = Array.make (max 1 t.nslots) None in

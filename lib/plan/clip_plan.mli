@@ -17,14 +17,21 @@
       hash-table probe; the table enumerates the segment once per
       environment in which its inputs are fixed and is probed with the
       earlier side's key;
-    - {b hoisted probes} — a correlated equality, whose probe side is
-      bound entirely by the enclosing rules (a nested child rule
-      [g in db.grant where c.@cid = g.@recipient] under
-      [c in db.company]), becomes a probe over a segment that reads
-      nothing outside itself; such a table is document-invariant, so
-      it is built once per run, lazily at the first probe, into a
-      per-run {!Run.t} handle instead of the segment being re-scanned
-      once per enclosing binding;
+    - {b memoised probes} — a segment that reads nothing outside
+      itself but the enclosing rules' variables is a function of the
+      items those variables are bound to. A correlated equality, whose
+      probe side is bound entirely by the enclosing rules (a nested
+      child rule [g in db.grant where c.@cid = g.@recipient] under
+      [c in db.company]), or a chain-internal equality whose per-step
+      build does not pay (the paper's Fig. 7 child rule
+      [p2 in pj, r in d.regEmp where p2.@pid = r.@pid]), turns such a
+      segment into a probe whose table lives in a per-run {!Run.t}
+      slot next to those items. The table is built at the second probe
+      with the same items (the first scans the segment) and kept until
+      the items change — instead of the segment being re-scanned once
+      per enclosing binding. A segment reading no enclosing variable
+      is the zero-read case: its table is document-invariant and built
+      once per run, at the first probe;
     - {b streaming execution} — bindings are folded into an [emit]
       callback; the full Cartesian product is never materialised.
 
@@ -129,12 +136,18 @@ and ('env, 'item) probe = {
   preds : 'env pred list;
 }
 
-(** [At i]: the table is built on entry to step [i], once per binding
-    of the steps before it. [Per_run id]: a hoisted probe — the
-    segment reads nothing outside itself, so the table is built once
-    per run, at the first probe, and kept under [id] in the run's
-    {!Run.t}. *)
-and build = At of int | Per_run of int
+(** The two build kinds. [At i]: the table is built on entry to step
+    [i], once per binding of the steps before it. [Memo]: the segment
+    reads nothing outside itself but the enclosing variables [reads]
+    (sorted), so the table is a function of their items. Slot [id] of
+    the run's {!Run.t} remembers the items of the last probe; the table
+    is built at a probe that arrives with the same items as the one
+    before it, and kept until a probe brings different ones, so the
+    slot holds one table at a time. A probe with fresh items scans the
+    segment instead: a table serving one probe would not pay. With
+    [reads = []] the table is document-invariant and built once per
+    run, at the first probe. *)
+and build = At of int | Memo of { id : int; reads : string list }
 
 type ('env, 'item) t = {
   pre : 'env pred list;
@@ -151,7 +164,8 @@ type ('env, 'item) t = {
 val stage_gens : ('env, 'item) stage -> ('env, 'item) gen array
 
 (** One-line plan rendering, e.g. ["scan(p) probe(d.e@0)"] — for tests
-    and debugging. *)
+    and debugging. A memoised probe shows its reads after the [@]
+    (["probe(r@d)"]), or [run] when it reads none. *)
 val describe : ('env, 'item) t -> string
 
 (** Multi-line EXPLAIN rendering: one line per stage (strategy,
@@ -178,19 +192,24 @@ val join_pays : outer:int option -> seg:int option -> bool
 
 (** [plan ?policy ~bound ~gens ~conds] — the physical plan for one
     generator chain. [bound] lists the variables already bound by the
-    outer environment. [policy] (default [`Force]) selects between
-    forced and cost-based join selection; condition pushdown is free
-    and happens under both. Regardless of policy, an equality whose
-    probe side reads no chain generator variable (a constant or
-    outer-bound key) is never turned into a per-step join. When the
-    probe side reads outer-bound variables only (a correlated child
-    rule), it becomes a hoisted [Per_run] probe, under both policies,
-    if some segment ending at the build side reads nothing outside
-    itself; otherwise, and always for a key-less side such as
-    [y.a = 5], it stays a pushed-down filter. If a generator shadows
-    an outer variable or a sibling generator, the planner degrades to
-    checking every condition at the innermost position (naive
-    semantics are always preserved). *)
+    outer environment. [policy] (default [`Force]) selects between forced and cost-based join
+    selection; condition pushdown is free and happens under both.
+
+    A probe's segment always ends at the build side's generator.
+    Regardless of policy, an equality whose probe side reads no chain
+    generator variable (a constant or outer-bound key) is never turned
+    into a per-step join. When the probe side reads outer-bound
+    variables only (a correlated child rule), it becomes a [Memo]
+    probe, under both policies, if some segment reads nothing outside
+    itself but enclosing variables that the probe side does not
+    merely repeat; otherwise, and always for a key-less side such as
+    [y.a = 5], it stays a pushed-down filter. Under [`Cost], a
+    chain-internal equality whose per-step ([At]) build the cost
+    model rejects becomes a [Memo] probe in a nested chain
+    ([bound <> []]) when such a segment exists, and a filter
+    otherwise. If a generator shadows an outer variable or a sibling
+    generator, the planner degrades to checking every condition at the
+    innermost position (naive semantics are always preserved). *)
 val plan :
   ?policy:policy ->
   bound:string list ->
@@ -203,30 +222,49 @@ val plan :
     element more than once? True when some stage is a per-step ([At])
     probe (its table may be rebuilt per outer binding) or some later
     scan is independent of the variable bound immediately before it.
-    A hoisted ([Per_run]) probe enumerates its segment once per run
-    and does not count. The lazy tag index only pays on such plans;
-    straight-line chains never reuse a grouping. *)
+    A [Memo] probe enumerates its segment once per run, or once per
+    binding of the enclosing variables it reads, and does not count.
+    The lazy tag index only pays on such plans; straight-line chains
+    never reuse a grouping. *)
 val revisit_prone : ('env, 'item) t -> bool
 
-(** The per-run home of hoisted tables. A plan holds no mutable
-    state — plans are memoised per session and shared across runs and
-    domains — so each backend run creates one handle and passes it to
-    every execution of every plan of that run. *)
-module Run : sig
-  type 'item t
+(** How a run reads the enclosing rules' bindings: [find env x] is
+    the item enclosing variable [x] is bound to in [env] ([None] when
+    it is unbound or not an item), and [same] is node identity on
+    items. It only has to be sound: [same a b] may answer [false] for
+    one node reached twice (that costs a scan or a rebuild), never
+    [true] for two different ones. *)
+type ('env, 'item) enclosing = {
+  find : 'env -> string -> 'item option;
+  same : 'item -> 'item -> bool;
+}
 
-  val create : unit -> 'item t
+(** The per-run home of memoised tables: one slot per [Memo] probe,
+    holding the enclosing items it was last probed with and the table
+    built for them, if any. A plan holds no mutable state — plans are
+    memoised per session and shared across runs and domains — so each
+    backend run creates one handle and passes it to every execution of
+    every plan of that run. [create ?enclosing ()] takes the backend's
+    reader of enclosing items; without one, a [Memo] probe that reads
+    enclosing variables never finds its items again and always scans. *)
+module Run : sig
+  type ('env, 'item) t
+
+  val create : ?enclosing:('env, 'item) enclosing -> unit -> ('env, 'item) t
 end
 
 (** [execute ?obs ~run t ~tick ~env ~emit] streams every surviving
     binding of the chain into [emit], in exactly the naive enumeration
     order. [tick] is called once per item enumerated at every stage,
-    so step budgets keep metering enumerated bindings (CLIP-LIM-004).
-    Hoisted probes read (and at their first probe, build) their tables
-    in [run]. [?obs] counts hash-join builds and probes. *)
+    so step budgets keep metering enumerated bindings (CLIP-LIM-004);
+    that includes the items a [Memo] probe's scan or table build
+    enumerates, except the one build of a zero-read table ([At] builds
+    are not metered either). [Memo] probes keep their
+    slots in [run]. [?obs] counts hash-join builds and probes; a [Memo]
+    probe that scans counts as a probe. *)
 val execute :
   ?obs:Clip_obs.Counters.t ->
-  run:'item Run.t ->
+  run:('env, 'item) Run.t ->
   ('env, 'item) t ->
   tick:(unit -> unit) ->
   env:'env ->
@@ -234,9 +272,9 @@ val execute :
   unit
 
 (** [batchable t] — true when every per-step hash-join build of [t]
-    fires before stage 0 (hoisted tables are per run, so they never
-    vary across a frontier), so a breadth-first frontier can share one
-    table set and {!execute_batch} runs its allocation-free sweep.
+    fires before stage 0 (memoised tables are looked up per probe, so
+    they never need a per-cell snapshot), so a breadth-first frontier
+    can share one table set and {!execute_batch} runs its allocation-free sweep.
     Correlated (later-stage) builds force the batch executor onto a
     per-cell table-snapshot path that costs more than the depth-first
     {!execute}; evaluators use this predicate to batch exactly the
@@ -263,7 +301,7 @@ val scan_only : ('env, 'item) t -> bool
     additionally counts [batches_executed] / [batch_width]. *)
 val execute_batch :
   ?obs:Clip_obs.Counters.t ->
-  run:'item Run.t ->
+  run:('env, 'item) Run.t ->
   ('env, 'item) t ->
   tick:(unit -> unit) ->
   env:'env ->

@@ -214,6 +214,16 @@ type planned = {
   rchildren : planned list;
 }
 
+(* Memoised probes read the enclosing rules' rows: a variable always
+   ranges over one table, so its row ordinal identifies the row. *)
+let enclosing =
+  {
+    Clip_plan.find =
+      (fun env x ->
+        match Env.find_opt x env with Some (Brow (_, i)) -> Some i | Some (Btgt _) | None -> None);
+    same = Int.equal;
+  }
+
 (* Compile a mapping tree to physical plans over the column store:
    scans are row-ordinal sweeps, equality conditions hash-join over
    column-extracted keys. Row counts are exact, so the [`Cost] policy
@@ -362,8 +372,8 @@ let execute ?(limits = Clip_diag.Limits.default) ?(plan = `Auto)
          p)
     | _ -> build ()
   in
-  (* Hoisted join tables live for this run only. *)
-  let run = Clip_plan.Run.create () in
+  (* Memoised join tables live for this run only. *)
+  let run = Clip_plan.Run.create ~enclosing () in
   let rec eval_planned env (p : planned) =
     pre_instantiate env p.rm;
     Clip_plan.execute ?obs:ctx.obs ~run p.rplan

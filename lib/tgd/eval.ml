@@ -474,6 +474,17 @@ let cond_of ctx (c : Tgd.comparison) =
     Clip_plan.Eq { left = keyed c.left; right = keyed c.right; orig }
   | Tgd.Ne | Tgd.Lt | Tgd.Le | Tgd.Gt | Tgd.Ge -> Clip_plan.Other orig
 
+(* Memoised probes read the enclosing rules' source variables, which
+   the environment binds to items; node identity decides whether a
+   slot's table was built for the same ones. *)
+let enclosing =
+  {
+    Clip_plan.find =
+      (fun env x ->
+        match Env.find_opt x env with Some (Src item) -> Some item | Some (Tgt _) | None -> None);
+    same = Value.identical;
+  }
+
 (* Compile a mapping tree to physical plans. Planning needs only the
    statically known outer variables (and, under [`Cost], the instance
    statistics), so a compiled tree is a per-(policy, mapping) artifact:
@@ -516,8 +527,9 @@ let rec plan_mapping ctx policy bound var_tags (m : Tgd.t) =
    chain runs once per parent binding, so its first generator
    re-enumerates the same elements whenever it does not read the
    parent chain's innermost variable — unless that first stage is a
-   hoisted probe, whose segment is enumerated once per run. Only then
-   can the lazy tag index's memoised groupings ever be reused. *)
+   memoised probe, whose segment is enumerated once per run or once per
+   binding of the enclosing variables it reads. Only then can the lazy
+   tag index's memoised groupings ever be reused. *)
 let rec tree_revisits ~outer_last (p : planned) =
   let stages = (p.pplan : (_, _) Clip_plan.t).stages in
   let nst = Array.length stages in
@@ -525,7 +537,7 @@ let rec tree_revisits ~outer_last (p : planned) =
     nst > 0
     &&
     match outer_last, stages.(0) with
-    | None, _ | Some _, Clip_plan.Probe { build = Clip_plan.Per_run _; _ } -> false
+    | None, _ | Some _, Clip_plan.Probe { build = Clip_plan.Memo _; _ } -> false
     | Some v, first ->
       let gens = Clip_plan.stage_gens first in
       not (List.mem v gens.(0).Clip_plan.deps)
@@ -583,9 +595,12 @@ end
    conversion under [`Auto] representation; the boxed tree runs. *)
 let columnar_threshold = 256
 
+(* [lineage]: record each target element's contributing source
+   elements ([bprov]) — only {!run_traced_result} reads them, so plain
+   runs skip the per-binding environment walk. *)
 let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
     ?(plan = `Auto) ?(repr = (`Tree : Xml.Doc.repr)) ?(ctl = Clip_run.Control.none)
-    ?session ?steps_out ?obs ~source ~target_root (m : Tgd.t) =
+    ?(lineage = false) ?session ?steps_out ?obs ~source ~target_root (m : Tgd.t) =
   let ctx =
     match session with
     | Some s when s.sctx.source == source -> s.sctx
@@ -608,7 +623,7 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
   (* The evaluator-side operations the shared construction core needs:
      variable lookup/binding over this evaluator's [Env], source
      evaluation through [ctx] (so ticks and counters keep firing at
-     the same sites), and instance-level provenance. *)
+     the same sites), and instance-level provenance when asked for. *)
   let ops =
     {
       Builder.lookup_tgt =
@@ -621,7 +636,8 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
       bind_tgt = (fun env x b -> Env.add x (Tgt b) env);
       eval_scalar = (fun env s -> eval_scalar ctx env s);
       eval_items = (fun env e -> eval_src ctx env e);
-      record_provenance = (fun env node -> record_provenance node env);
+      record_provenance =
+        (if lineage then fun env node -> record_provenance node env else fun _ _ -> ());
     }
   in
   let pre_instantiate env m = Builder.pre_instantiate bld ~ops ~target_root env m in
@@ -682,8 +698,8 @@ let execute ?(limits = Clip_diag.Limits.default) ?(minimum_cardinality = true)
     | `Auto -> Xml.Stats.node_count (force_stats ctx) >= columnar_threshold
   in
   let docidx () = snd (force_doc ctx) in
-  (* Hoisted join tables live for this run only. *)
-  let run = Clip_plan.Run.create () in
+  (* Memoised join tables live for this run only. *)
+  let run = Clip_plan.Run.create ~enclosing () in
   let rec eval_planned ~outer env (p : planned) =
     pre_instantiate env p.pm;
     (* Batch only where batching pays: the outermost plan of a mapping
@@ -858,8 +874,8 @@ let run_traced_result ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session
     ?steps_out ?obs ~source ~target_root m =
   Clip_diag.guard (fun () ->
     let root =
-      execute ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session ?steps_out
-        ?obs ~source ~target_root m
+      execute ?limits ?minimum_cardinality ?plan ?repr ?ctl ~lineage:true ?session
+        ?steps_out ?obs ~source ~target_root m
     in
     let trace = ref [] in
     let rec walk path (b : Builder.bnode) =
@@ -873,3 +889,12 @@ let run_traced_result ?limits ?minimum_cardinality ?plan ?repr ?ctl ?session
     in
     walk [] root;
     (Builder.bnode_to_node root, List.rev !trace))
+
+module For_testing = struct
+  let provenance_entries ?minimum_cardinality ?plan ~lineage ~source ~target_root m =
+    let rec count (b : Builder.bnode) =
+      List.fold_left (fun n c -> n + count c) (List.length b.Builder.bprov) b.Builder.bchildren
+    in
+    Clip_diag.guard (fun () ->
+      count (execute ?minimum_cardinality ?plan ~lineage ~source ~target_root m))
+end

@@ -139,3 +139,18 @@ val run_traced_result :
   target_root:string ->
   Tgd.t ->
   (Clip_xml.Node.t * trace_entry list, Clip_diag.t list) result
+
+(** Test hook. [provenance_entries ~lineage ~source ~target_root m]
+    runs [m] as {!run_traced_result} ([lineage = true]) or
+    {!run_result} ([false]) would, and counts the lineage entries its
+    target elements recorded: a run without lineage records none. *)
+module For_testing : sig
+  val provenance_entries :
+    ?minimum_cardinality:bool ->
+    ?plan:Clip_plan.mode ->
+    lineage:bool ->
+    source:Clip_xml.Node.t ->
+    target_root:string ->
+    Tgd.t ->
+    (int, Clip_diag.t list) result
+end

@@ -47,8 +47,8 @@ type ctx = {
     ref;
   steps : int ref;
   mutable max_steps : int;
-  mutable hoisted : Value.t Clip_plan.Run.t;
-      (* per-run home of the hoisted join tables, fresh per [with_ctx]:
+  mutable hoisted : (Value.t Env.t, Value.t) Clip_plan.Run.t;
+      (* per-run home of the memoised join tables, fresh per [with_ctx]:
          memoised plans are shared across a session's runs, their
          tables are not *)
   mutable obs : Clip_obs.sink;
@@ -372,6 +372,16 @@ let index_threshold = 256
    every join the cost model could pick is over segments of a handful
    of nodes, so [`Auto] downgrades to the direct interpreter. *)
 let naive_threshold = 128
+
+(* Memoised probes read the enclosing variables' sequences; two are the
+   same when they list the same nodes, by identity. The environment
+   hands back one physical list for one binding, so the usual case is
+   the [==] fast path. *)
+let enclosing =
+  {
+    Clip_plan.find = (fun env x -> Env.find_opt x env);
+    same = (fun a b -> a == b || List.equal Value.identical a b);
+  }
 
 let rec eval ctx env (e : Ast.expr) : Value.t =
   tick ctx;
@@ -710,7 +720,7 @@ let make_ctx input =
     plans = ref [];
     steps = ref 0;
     max_steps = max_int;
-    hoisted = Clip_plan.Run.create ();
+    hoisted = Clip_plan.Run.create ~enclosing ();
     obs = Clip_obs.none;
     ctl = Clip_run.Control.none;
     sbuf_a = Xml.Index.idbuf_make ();
@@ -863,7 +873,7 @@ let with_ctx ?(ctl = Clip_run.Control.none) ?session ?obs
      | _ -> None (* [`Auto] switches it on adaptively *));
   ctx.steps := 0;
   ctx.max_steps <- limits.Clip_diag.Limits.max_eval_steps;
-  ctx.hoisted <- Clip_plan.Run.create ();
+  ctx.hoisted <- Clip_plan.Run.create ~enclosing ();
   let record_steps () =
     match steps_out with Some r -> r := !(ctx.steps) | None -> ()
   in

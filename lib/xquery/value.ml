@@ -46,6 +46,15 @@ let item_equal a b =
 
 let equal a b = List.length a = List.length b && List.for_all2 item_equal a b
 
+let identical a b =
+  a == b
+  ||
+  match a, b with
+  | Node (Xml.Node.Element x), Node (Xml.Node.Element y) -> x == y
+  | Node x, Node y -> x == y
+  | Atomic x, Atomic y -> x == y
+  | Node _, Atomic _ | Atomic _, Node _ -> false
+
 let pp fmt v =
   let pp_item fmt = function
     | Node n -> Xml.Node.pp fmt n

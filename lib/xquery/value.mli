@@ -26,5 +26,13 @@ val string_value : item -> string
 val effective_bool : t -> bool
 
 val item_equal : item -> item -> bool
+
+(** Node identity: [true] when both items are the same element of one
+    tree, however often it was wrapped, or physically the same item.
+    Never [true] for two different nodes, so it is sound as a memo key
+    comparison ({!Clip_plan.enclosing}); equal atoms that are not
+    physically one value compare [false]. *)
+val identical : item -> item -> bool
+
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -20,6 +20,10 @@
    and [--rel N] draws random relational databases and checks the
    relational backend against the tgd backend: byte-identical outputs
    when both succeed, identical diagnostic codes when both fail.
+   [--xml N] checks the parser and the chunked stream against the
+   reference XML parser, and [--nested N] runs grouped, nested
+   correlated joins (the paper's Fig. 7) on every planned path
+   against the tgd nested-loop interpreter.
 
    Runs are reproducible: the PRNG is our own (no [Random]), seeded
    from [--seed], so a failing input can be replayed by seed +
@@ -849,6 +853,133 @@ let xml_sweep () =
     Printf.printf "xml sweep: %d differential iterations\n%!" !xml_iterations
   end
 
+(* --- Nested correlated-join sweep (--nested N) ------------------------- *)
+
+let nested_iterations = ref 0
+
+(* The paper's Fig. 7 (projects grouped by name across departments,
+   each joined to its department's employees on [@pid]) in its two
+   nested forms: the child rule re-binds the project and joins inside
+   its own chain, or binds only the employee and joins to the enclosing
+   project. Either way the employee scan reads the enclosing department
+   and is memoised on it. *)
+let nested_join_dsl ~correlated =
+  Printf.sprintf
+    {|schema source {
+  dept [1..*] {
+    dname: string
+    Proj [0..*] { @pid: int  pname: string }
+    regEmp [0..*] { @pid: int  ename: string  sal: int }
+  }
+  ref dept.regEmp.@pid -> dept.Proj.@pid
+}
+schema target {
+  project [1..*] {
+    @name: string
+    employee [0..*] { @name: string }
+  }
+}
+mapping {
+  group g: source.dept.Proj as $pj by $pj.pname.value -> target.project {
+    %s
+  }
+  value source.dept.Proj.pname.value -> target.project.@name
+  value source.dept.regEmp.ename.value -> target.project.employee.@name
+}|}
+    (if correlated then
+       "node e: source.dept.regEmp as $r -> target.project.employee where $pj.@pid = $r.@pid"
+     else
+       "node e: source.dept.Proj as $p2, source.dept.regEmp as $r -> \
+        target.project.employee where $p2.@pid = $r.@pid")
+
+(* Each iteration draws a department database whose project ids and
+   names collide within and across departments, sized on both sides of
+   the planning threshold, and runs one of the two mappings. Oracle:
+   the tgd backend's nested-loop [`Naive] interpreter. tgd [`Auto]
+   over the tree and over the columnar document must match it —
+   byte-identical output, or the same diagnostic codes — and so must
+   the generated XQuery under [`Auto]. About one iteration in eight
+   gives a project no name, or two, which the tgd grouping rejects
+   (CLIP-TGD-001) while XQuery groups the names it finds; there the
+   XQuery run is held to its own nested-loop run instead. *)
+let nested_sweep () =
+  if !nested_iterations > 0 then begin
+    let mapping correlated =
+      match Clip_core.Dsl.parse_result (nested_join_dsl ~correlated) with
+      | Ok m -> m
+      | Error _ -> failwith "nested sweep: fixture mapping does not parse"
+    in
+    let mappings = [| mapping false; mapping true |] in
+    let random_instance () =
+      let bad = rand 8 = 0 in
+      let b = Buffer.create 2048 in
+      Buffer.add_string b "<source>";
+      for d = 1 to 1 + rand 10 do
+        Printf.bprintf b "<dept><dname>D%d</dname>" d;
+        for _ = 1 to rand 6 do
+          Printf.bprintf b "<Proj pid=\"%d\">" (rand 4);
+          (match if bad then rand 6 else 1 with
+           | 0 -> ()
+           | 1 -> Printf.bprintf b "<pname>%s</pname>" (pick [ "a"; "b"; "c" ])
+           | _ -> Buffer.add_string b "<pname>a</pname><pname>b</pname>");
+          Buffer.add_string b "</Proj>"
+        done;
+        for e = 1 to rand 9 do
+          Printf.bprintf b "<regEmp pid=\"%d\"><ename>E%d.%d</ename><sal>%d</sal></regEmp>"
+            (rand 5) d e (rand 100)
+        done;
+        Buffer.add_string b "</dept>"
+      done;
+      Buffer.add_string b "</source>";
+      Clip_xml.Parser.parse_string (Buffer.contents b)
+    in
+    let codes ds = List.map (fun d -> d.Clip_diag.code) ds in
+    let run m doc ~backend ~plan ~repr =
+      match
+        Clip_core.Engine.run_result ~limits:Clip_diag.Limits.unlimited ~backend ~plan
+          ~repr m doc
+      with
+      | r -> Ok r
+      | exception e -> Error e
+    in
+    let compare i what a b =
+      let fail fmt =
+        Printf.ksprintf
+          (fun msg ->
+            incr failures;
+            Printf.eprintf "FAILURE [nested]: iter %d: %s: %s\n" i what msg)
+          fmt
+      in
+      match (a, b) with
+      | Error e, _ | _, Error e -> fail "raised %s" (Printexc.to_string e)
+      | Ok (Ok a), Ok (Ok b) -> if not (Clip_xml.Node.equal a b) then fail "outputs differ"
+      | Ok (Error da), Ok (Error db) ->
+        if codes da <> codes db then
+          fail "diagnostics differ: [%s] vs [%s]" (String.concat "," (codes da))
+            (String.concat "," (codes db))
+      | Ok (Ok _), Ok (Error ds) | Ok (Error ds), Ok (Ok _) ->
+        fail "one run failed [%s]" (String.concat "," (codes ds))
+    in
+    for i = 1 to !nested_iterations do
+      let m = mappings.(rand 2) in
+      let doc = random_instance () in
+      if !verbose then Printf.eprintf "nested iter %d\n" i;
+      let naive = run m doc ~backend:`Tgd ~plan:`Naive ~repr:`Tree in
+      compare i "tgd auto tree vs naive" (run m doc ~backend:`Tgd ~plan:`Auto ~repr:`Tree) naive;
+      compare i "tgd auto columnar vs naive"
+        (run m doc ~backend:`Tgd ~plan:`Auto ~repr:`Columnar)
+        naive;
+      let xquery = run m doc ~backend:`Xquery ~plan:`Auto ~repr:`Tree in
+      match naive with
+      | Ok (Ok _) -> compare i "xquery auto vs tgd naive" xquery naive
+      | Ok (Error _) | Error _ ->
+        compare i "xquery auto vs xquery naive" xquery
+          (run m doc ~backend:`Xquery ~plan:`Naive ~repr:`Tree)
+    done;
+    Printf.printf "nested sweep: %d correlated-join differential iterations\n%!"
+      !nested_iterations
+  end
+
 (* --- Main loop -------------------------------------------------------- *)
 
 let () =
@@ -870,6 +1001,9 @@ let () =
         Arg.Set_int xml_iterations,
         "N  parser / stream / reference XML differential sweep iterations \
          (default: 0)" );
+      ( "--nested",
+        Arg.Set_int nested_iterations,
+        "N  nested correlated-join differential sweep iterations (default: 0)" );
       ("--verbose", Arg.Set verbose, "  print each iteration");
     ]
   in
@@ -898,6 +1032,7 @@ let () =
   algebra_sweep ();
   rel_sweep ();
   xml_sweep ();
+  nested_sweep ();
   if !failures > 0 then begin
     Printf.eprintf "fuzz: %d failure(s) after %d iterations\n" !failures !iterations;
     exit 1

@@ -15,6 +15,7 @@ let get_ok = function
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
+let checks = Alcotest.(check string)
 
 let path s =
   match Path.of_string s with
@@ -381,6 +382,77 @@ let render_tests =
 
 (* --- Instance-level provenance -------------------------------------------------- *)
 
+
+(* A digest of a run's lineage: every trace entry as its target path
+   and its sources' preorder positions in [doc], so the digest pins
+   which source elements, in which order, and not just their tags. *)
+let lineage_digest (sc : S.Figures.t) ~plan doc =
+  let _, trace =
+    get_ok
+      (Clip_core.Engine.run_traced_result
+         ~minimum_cardinality:sc.S.Figures.minimum_cardinality ~plan sc.S.Figures.mapping
+         doc)
+  in
+  let ids = Clip_xml.Index.Tbl.create 64 in
+  let next = ref 0 in
+  let rec number = function
+    | Node.Element e ->
+      Clip_xml.Index.Tbl.replace ids e !next;
+      incr next;
+      List.iter number e.Node.children
+    | Node.Text _ -> ()
+  in
+  number doc;
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun (t : Clip_tgd.Eval.trace_entry) ->
+      Printf.bprintf b "/%s <- %s\n"
+        (String.concat "/" (List.map string_of_int t.target_path))
+        (String.concat ","
+           (List.map
+              (function
+                | Node.Element e ->
+                  (match Clip_xml.Index.Tbl.find_opt ids e with
+                   | Some i -> string_of_int i
+                   | None -> "?" ^ e.Node.tag)
+                | Node.Text _ -> "text")
+              t.sources)))
+    trace;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Lineage digests per figure and instance, recorded before lineage
+   recording became opt-in: every plan mode must still reproduce them. *)
+let lineage_pins =
+  [
+    ("fig3", "paper", "2a492dd0d9e8249794d52e376a7f0efd");
+    ("fig3", "scaled", "b5f1b90815cbc05fde3823f359567ecb");
+    ("fig3-universal", "paper", "ae2803d37c2f8d1a6b15ecfee184cdda");
+    ("fig3-universal", "scaled", "e58efcbd00f98599698da701b73c3571");
+    ("fig4", "paper", "86ffdde0dcbb857f3ddfe55753472f73");
+    ("fig4", "scaled", "3a01b63aee9bcdb429f607aac08da831");
+    ("fig4-nocontext", "paper", "5ee5746d6be2329de4c860ff2f83b9e3");
+    ("fig4-nocontext", "scaled", "76406b3de13e445e3cd8eb1f3a8bf3cc");
+    ("fig5", "paper", "08daf8a1ed06f1955262572cbca7f776");
+    ("fig5", "scaled", "14e17ed67c47d1d0fee044f5e8186e74");
+    ("fig6", "paper", "97f8888cced52a384e917257df380f6a");
+    ("fig6", "scaled", "1d90811ed224a1461533e8afdd579f58");
+    ("fig6-cartesian", "paper", "44f6d09ec57077ce12dd34499ea93bd4");
+    ("fig6-cartesian", "scaled", "3cf381e9cb17bcbd4b36adc301d68b4b");
+    ("fig6-global", "paper", "1459ddffd5724ba1db82c52ef49ef13d");
+    ("fig6-global", "scaled", "8ebb28b3e3faedc8ed798c49c97a24f5");
+    ("fig6-join-global", "paper", "1b7246c35bb95c010dbf132f00c60d54");
+    ("fig6-join-global", "scaled", "1d90811ed224a1461533e8afdd579f58");
+    ("fig7", "paper", "cd3f1ade4178df8380679885aa3d449a");
+    ("fig7", "scaled", "a53f738c16c02e0344c794711eca091f");
+    ("fig8", "paper", "fcc910430282f47c01257ba5394caf74");
+    ("fig8", "scaled", "3c93b29979a7ee80058f444cdcc64929");
+    ("fig9", "paper", "16bb504a7ecd12d37e803e29ee5111fb");
+    ("fig9", "scaled", "54000fc32c2fe8ea09a96ec5b9131888");
+  ]
+
+let lineage_docs =
+  [ ("paper", S.Deptdb.instance); ("scaled", S.Deptdb.synthetic_instance ~depts:12 ~projs:4 ~emps:6) ]
+
 let provenance_tests =
   [
     Alcotest.test_case "fig4: each employee traces to its regEmp and dept" `Quick
@@ -436,6 +508,38 @@ let provenance_tests =
           List.find (fun (t : Clip_tgd.Eval.trace_entry) -> t.target_path = []) trace
         in
         checkb "empty" true (root.sources = []));
+    Alcotest.test_case "an untraced run records no provenance" `Quick (fun () ->
+        List.iter
+          (fun (sc : S.Figures.t) ->
+            let m = sc.S.Figures.mapping in
+            let tgd = Clip_core.Compile.to_tgd m in
+            let entries ~lineage plan =
+              get_ok
+                (Clip_tgd.Eval.For_testing.provenance_entries ~lineage
+                   ~minimum_cardinality:sc.S.Figures.minimum_cardinality ~plan
+                   ~source:(List.assoc "scaled" lineage_docs)
+                   ~target_root:m.Clip_core.Mapping.target.root.name tgd)
+            in
+            List.iter
+              (fun plan ->
+                checki (sc.S.Figures.name ^ ": no bprov entry") 0 (entries ~lineage:false plan);
+                checkb (sc.S.Figures.name ^ ": lineage runs record some") true
+                  (entries ~lineage:true plan > 0))
+              [ `Naive; `Indexed; `Auto ])
+          S.Figures.all);
+    Alcotest.test_case "lineage entries match the pinned digests, every plan" `Quick
+      (fun () ->
+        List.iter
+          (fun (name, dname, digest) ->
+            let sc = List.find (fun (sc : S.Figures.t) -> sc.S.Figures.name = name) S.Figures.all in
+            List.iter
+              (fun plan ->
+                checks
+                  (Printf.sprintf "%s on %s" name dname)
+                  digest
+                  (lineage_digest sc ~plan (List.assoc dname lineage_docs)))
+              [ `Naive; `Indexed; `Auto ])
+          lineage_pins);
     Alcotest.test_case "a trace entry exists for every target element" `Quick
       (fun () ->
         let out, trace = get_ok (Clip_core.Engine.run_traced_result S.Figures.fig5.mapping S.Deptdb.instance) in

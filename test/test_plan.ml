@@ -1030,11 +1030,229 @@ let session_tests =
           (Node.equal via (get_ok (Clip_tgd.Eval.run_result ~source:doc2 ~target_root tgd))));
   ]
 
+(* --- Memoised probes: tables kept per enclosing binding ------------------ *)
+
+(* The fig. 7 child rule [r in d.regEmp where r.@pid = pj.@pid] in
+   toy form: department [d] owns employees [10d .. 10d+5], whose key
+   is the last digit; the enclosing project [pj] probes with its own. *)
+let emps_of env = List.init 6 (fun k -> (10 * lookup env "d") + k)
+let emp_key env = P.Key.of_atom (Atom.Int (lookup env "r" mod 10))
+let regemp = gen ~deps:[ "d" ] ~est:6 "r" emps_of
+
+let pid_join ~probe =
+  [ eq ~left:[ probe ] ~lkeys:(key1 probe) ~right:[ "r" ] ~rkeys:emp_key ]
+
+(* Run [p] under each enclosing environment in turn, through one run
+   handle, checking every result against the nested-loop reference;
+   returns the builds and probes counted. *)
+(* The enclosing reader: variables are bound to ints, and an int is its
+   own identity. *)
+let enclosing : (env, int) P.enclosing =
+  { P.find = (fun env x -> List.assoc_opt x env); same = Int.equal }
+
+let memo_runs p gens conds envs =
+  let obs = Clip_obs.Counters.create () in
+  let run = P.Run.create ~enclosing () in
+  List.iter
+    (fun env ->
+      let got, _ = run_plan ~obs ~run ~env p in
+      checkb "same bindings as naive" true (got = run_naive ~env gens conds))
+    envs;
+  (obs.Clip_obs.Counters.hash_join_builds, obs.Clip_obs.Counters.hash_join_probes)
+
+let dept_envs depts = List.concat_map (fun d -> List.init 4 (fun pj -> [ ("pj", pj); ("d", d) ])) depts
+
+(* A Fig. 7 variant whose child rule binds only the employee and joins
+   it to the enclosing project: the correlated ([lp = 0]) form. *)
+let fig7_correlated =
+  get_ok
+    (Clip_core.Dsl.parse_result
+       {|schema source {
+  dept [1..*] {
+    dname: string
+    Proj [0..*] { @pid: int  pname: string }
+    regEmp [0..*] { @pid: int  ename: string  sal: int }
+  }
+  ref dept.regEmp.@pid -> dept.Proj.@pid
+}
+schema target {
+  project [1..*] {
+    @name: string
+    employee [0..*] { @name: string }
+  }
+}
+mapping {
+  group g: source.dept.Proj as $pj by $pj.pname.value -> target.project {
+    node e: source.dept.regEmp as $r -> target.project.employee where $pj.@pid = $r.@pid
+  }
+  value source.dept.Proj.pname.value -> target.project.@name
+  value source.dept.regEmp.ename.value -> target.project.employee.@name
+}|})
+
+let memo_tests =
+  let depts = 40 and projs = 5 in
+  let scaled () = S.Deptdb.synthetic_instance ~depts ~projs ~emps:10 in
+  (* Every backend, representation and planned mode against the tgd
+     nested-loop oracle. *)
+  let agree_with_naive mapping doc =
+    let naive =
+      get_ok (Engine.run_result ~limits:Clip_diag.Limits.unlimited ~plan:`Naive mapping doc)
+    in
+    List.iter
+      (fun (backend, bname) ->
+        List.iter
+          (fun (repr, rname) ->
+            List.iter
+              (fun plan ->
+                checkb
+                  (Printf.sprintf "%s/%s/%s ≡ tgd naive" bname rname
+                     (match plan with `Auto -> "auto" | _ -> "indexed"))
+                  true
+                  (Node.equal naive
+                     (get_ok
+                        (Engine.run_result ~limits:Clip_diag.Limits.unlimited ~backend
+                           ~plan ~repr mapping doc))))
+              [ `Auto; `Indexed ])
+          [ (`Tree, "tree"); (`Columnar, "columnar") ])
+      [ (`Tgd, "tgd"); (`Xquery, "xquery") ]
+  in
+  [
+    Alcotest.test_case "a correlated segment reading an enclosing variable is memoised"
+      `Quick (fun () ->
+        let gens = [ regemp ] and conds = pid_join ~probe:"pj" in
+        List.iter
+          (fun policy ->
+            let p = P.plan ~policy ~bound:[ "d"; "pj" ] ~gens ~conds () in
+            checks "shape" "probe(r@d)" (P.describe p);
+            checkb "explain names the reads" true
+              (contains (P.explain p) "hash probe r (built once per binding of d, est 6)"))
+          [ `Force; `Cost ];
+        let p = P.plan ~policy:`Cost ~bound:[ "d"; "pj" ] ~gens ~conds () in
+        let builds, probes = memo_runs p gens conds (dept_envs [ 1; 2; 3 ]) in
+        checki "one build per department" 3 builds;
+        checki "one probe per project" 12 probes);
+    Alcotest.test_case "a chain-internal join the cost model rejects is memoised" `Quick
+      (fun () ->
+        (* fig. 7's child rule: [p2 in pj, r in d.regEmp] *)
+        let gens =
+          [ gen ~deps:[ "pj" ] ~est:1 "p2" (fun env -> [ lookup env "pj" ]); regemp ]
+        in
+        let conds = pid_join ~probe:"p2" in
+        let plan policy = P.plan ~policy ~bound:[ "d"; "pj" ] ~gens ~conds () in
+        checks "forced: per-step build" "scan(p2) probe(r@0)" (P.describe (plan `Force));
+        let p = plan `Cost in
+        checks "costed: memoised" "scan(p2) probe(r@d)" (P.describe p);
+        checkb "note says why" true
+          (contains (P.explain p) "a per-step build does not pay: outer~1, seg~6");
+        let builds, probes = memo_runs p gens conds (dept_envs [ 4; 5 ]) in
+        checki "one build per department" 2 builds;
+        checki "one probe per project" 8 probes);
+    Alcotest.test_case "a top-level chain keeps the cost model's verdict" `Quick
+      (fun () ->
+        (* run once per run, a memoised table is the rejected build *)
+        let gens = [ const ~est:1 "x" [ 1 ]; const ~est:6 "y" [ 1; 2; 3 ] ] in
+        let conds = [ eq ~left:[ "x" ] ~lkeys:(key1 "x") ~right:[ "y" ] ~rkeys:(key1 "y") ] in
+        checks "top level" "scan(x) scan(y/1)"
+          (P.describe (P.plan ~policy:`Cost ~bound:[] ~gens ~conds ()));
+        checks "nested, zero reads: once per run" "scan(x) probe(y@run)"
+          (P.describe (P.plan ~policy:`Cost ~bound:[ "c" ] ~gens ~conds ())));
+    Alcotest.test_case "enclosing bindings out of order only cause rebuilds" `Quick
+      (fun () ->
+        let gens = [ regemp ] and conds = pid_join ~probe:"pj" in
+        let p = P.plan ~bound:[ "d"; "pj" ] ~gens ~conds () in
+        (* d = 1, 2, 1, 1, 3, 2: five changes of department *)
+        let envs =
+          List.concat_map
+            (fun d -> [ [ ("pj", d mod 4); ("d", d) ]; [ ("pj", 3); ("d", d) ] ])
+            [ 1; 2; 1; 1; 3; 2 ]
+        in
+        let builds, probes = memo_runs p gens conds envs in
+        checki "a rebuild per change" 5 builds;
+        checki "every probe" 12 probes);
+    Alcotest.test_case "a probe with fresh enclosing items scans instead of building"
+      `Quick (fun () ->
+        let gens = [ regemp ] and conds = pid_join ~probe:"pj" in
+        let p = P.plan ~bound:[ "d"; "pj" ] ~gens ~conds () in
+        let probe_all run envs =
+          let obs = Clip_obs.Counters.create () in
+          let ticks =
+            List.fold_left
+              (fun acc env ->
+                let got, ticks = run_plan ~obs ~run ~env p in
+                checkb "same bindings as naive" true (got = run_naive ~env gens conds);
+                acc + ticks)
+              0 envs
+          in
+          (obs.Clip_obs.Counters.hash_join_builds, obs.Clip_obs.Counters.hash_join_probes, ticks)
+        in
+        (* the department changes at every probe: each probe scans its
+           six employees, as the filter would, and nothing is built *)
+        let alternating = List.map (fun d -> [ ("pj", 1); ("d", d) ]) [ 1; 2; 1; 2; 3 ] in
+        let builds, probes, ticks = probe_all (P.Run.create ~enclosing ()) alternating in
+        checki "no build" 0 builds;
+        checki "every probe" 5 probes;
+        checki "a scan's ticks per probe" 30 ticks;
+        (* without a reader the items never match, so a probe always scans *)
+        let builds, _, _ = probe_all (P.Run.create ()) (dept_envs [ 1; 2 ]) in
+        checki "no reader, no build" 0 builds);
+    Alcotest.test_case "memoised scans and builds are metered" `Quick (fun () ->
+        let gens = [ regemp ] and conds = pid_join ~probe:"pj" in
+        let p = P.plan ~bound:[ "d"; "pj" ] ~gens ~conds () in
+        let run = P.Run.create ~enclosing () in
+        let ticks =
+          List.fold_left
+            (fun acc env -> acc + snd (run_plan ~run ~env p))
+            0 (dept_envs [ 1; 2; 3 ])
+        in
+        (* per department: the first project scans six employees, the
+           second builds over six and hits one, the other two hit one
+           each — against 4 x 6 for the filter *)
+        checki "ticks" (3 * (6 + 7 + 1 + 1)) ticks);
+    Alcotest.test_case "a probe side that repeats the segment's reads stays a filter"
+      `Quick (fun () ->
+        (* [g in c.grant where c = g]: each probe comes with a fresh
+           [c], so the slot would only rebuild *)
+        let gens = [ gen ~deps:[ "c" ] "g" (fun env -> [ lookup env "c"; 7 ]) ] in
+        List.iter
+          (fun policy ->
+            checks "shape" "scan(g/1)"
+              (P.describe (P.plan ~policy ~bound:[ "c" ] ~gens ~conds:correlated ())))
+          [ `Force; `Cost ]);
+    Alcotest.test_case "memoised probes are not revisits" `Quick (fun () ->
+        let p =
+          P.plan ~bound:[ "d"; "pj" ] ~gens:[ regemp ] ~conds:(pid_join ~probe:"pj") ()
+        in
+        checkb "memoised" false (P.revisit_prone p);
+        checkb "batchable" true (P.batchable p));
+    Alcotest.test_case "fig7, scaled: one build per department, one probe per project"
+      `Quick (fun () ->
+        let doc = scaled () in
+        let sc = S.Figures.fig7 in
+        let txt = get_ok (Engine.explain_result ~plan:`Auto sc.S.Figures.mapping doc) in
+        checkb "memoised on d" true (contains txt "probe(r@d)");
+        checkb "tag index off" true (contains txt "tag index off");
+        let _, c = counted_run sc ~backend:`Tgd ~plan:`Auto doc in
+        checki "builds = departments" depts c.C.hash_join_builds;
+        checki "probes = projects" (depts * projs) c.C.hash_join_probes;
+        checki "tag index never probed" 0 c.C.index_probes);
+    Alcotest.test_case "fig7, scaled: every backend and repr agrees with naive" `Quick
+      (fun () -> agree_with_naive S.Figures.fig7.S.Figures.mapping (scaled ()));
+    Alcotest.test_case "the correlated fig7 form is memoised and agrees with naive" `Quick
+      (fun () ->
+        let doc = scaled () in
+        let txt = get_ok (Engine.explain_result ~plan:`Auto fig7_correlated doc) in
+        checkb "memoised on d" true (contains txt "plan: probe(r@d)");
+        let _, c = counted_run { S.Figures.fig7 with mapping = fig7_correlated } ~backend:`Tgd ~plan:`Auto doc in
+        checki "builds = departments" depts c.C.hash_join_builds;
+        agree_with_naive fig7_correlated doc);
+  ]
+
 let () =
   Alcotest.run "plan"
     [
       ("planner", planner_tests);
       ("hoist", hoist_tests);
+      ("memo", memo_tests);
       ("cost", cost_tests);
       ("keys", key_tests);
       ("index", index_tests);
